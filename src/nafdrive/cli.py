@@ -21,14 +21,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .learner import (TrainConfig, Transition, batch_loss, make_rngs,
-                      run_training, sync_target)
+                      run_training)
 from .longitudinal import IdmParams
-from .nafq import Action, NafParams, RlState, greedy_policy, q_value
-from .netcore import Network, finite_diff_check, net_forward, net_init
+from .nafq import (Action, NafParams, RlState, greedy_policy, q_gradients_batch,
+                   q_value)
+from .netcore import OptState, finite_diff_check, net_backward, net_forward, net_init
 from .simworld import (RewardWeights, RoadSpec, TrafficConfig, World,
                        WorldConfig, build_rl_state)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 CONFIG_SCHEMA = {
     "seed": None,
@@ -163,61 +164,27 @@ def atomic_write(path: str, text: str):
 # -- checkpoint serialization
 
 
-def _net_to_json(net: Network) -> dict:
-    return {
-        "layer_dims": list(net.layer_dims),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def _net_from_json(d: dict) -> Network:
-    return Network(
-        list(d["layer_dims"]),
-        [np.array(w, dtype=float) for w in d["weights"]],
-        [np.array(b, dtype=float) for b in d["biases"]],
-    )
-
-
 def _params_to_json(p: NafParams) -> dict:
-    out = {name: _net_to_json(net) for name, net in p.nets().items()}
-    out["constants"] = {"a_cap": p.a_cap, "t_min": p.t_min,
-                        "t_max": p.t_max, "m_eps": p.m_eps}
-    return out
+    return {
+        "layer_dims": list(p.layer_dims),
+        "flat": p.flat.tolist(),
+        "constants": {"a_cap": p.a_cap, "t_min": p.t_min,
+                      "t_max": p.t_max, "m_eps": p.m_eps},
+    }
 
 
 def _params_from_json(d: dict) -> NafParams:
-    c = d["constants"]
-    return NafParams(
-        _net_from_json(d["amax_net"]), _net_from_json(d["beta_net"]),
-        _net_from_json(d["ttrans_net"]), _net_from_json(d["m_net"]),
-        _net_from_json(d["v_net"]),
-        a_cap=c["a_cap"], t_min=c["t_min"], t_max=c["t_max"], m_eps=c["m_eps"],
-    )
+    return NafParams(list(d["layer_dims"]), np.array(d["flat"], dtype=float),
+                     **d["constants"])
 
 
-def _opt_to_json(opt_states: dict) -> dict:
-    return {
-        name: {
-            "m_w": [a.tolist() for a in o.m_w], "m_b": [a.tolist() for a in o.m_b],
-            "v_w": [a.tolist() for a in o.v_w], "v_b": [a.tolist() for a in o.v_b],
-            "t": o.t,
-        }
-        for name, o in opt_states.items()
-    }
+def _opt_to_json(opt: OptState) -> dict:
+    return {"m": opt.m.tolist(), "v": opt.v.tolist(), "t": dict(opt.t)}
 
 
-def _opt_from_json(d: dict) -> dict:
-    from .netcore import OptState
-
-    out = {}
-    for name, o in d.items():
-        out[name] = OptState(
-            [np.array(a) for a in o["m_w"]], [np.array(a) for a in o["m_b"]],
-            [np.array(a) for a in o["v_w"]], [np.array(a) for a in o["v_b"]],
-            o["t"],
-        )
-    return out
+def _opt_from_json(d: dict) -> OptState:
+    return OptState(np.array(d["m"], dtype=float), np.array(d["v"], dtype=float),
+                    dict(d["t"]))
 
 
 def _rngs_to_json(rngs: dict) -> dict:
@@ -234,7 +201,7 @@ def _rngs_from_json(d: dict) -> dict:
 
 
 def save_checkpoint(path: str, step: int, params: NafParams,
-                    target_params: NafParams, opt_states: dict, rngs: dict,
+                    target_params: NafParams, opt_states: OptState, rngs: dict,
                     digest: str):
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -318,14 +285,14 @@ def cmd_train(config_path: str, out_dir: str, seed_override=None) -> int:
                         state["opt_states"], state["rngs"], digest)
 
     status = 0
+    loss_rows, episode_rows = [], []
     try:
-        result = run_training(cfg.train, cfg.world, checkpoint_hook=hook,
-                              naf_constants=cfg.naf_constants)
-        loss_rows = result.loss_rows
-        episode_rows = result.episode_rows
+        run_training(cfg.train, cfg.world, checkpoint_hook=hook,
+                     naf_constants=cfg.naf_constants,
+                     loss_rows=loss_rows, episode_rows=episode_rows)
     except Exception as exc:  # flush partial logs on mid-run faults
         print(f"error: training aborted: {exc}", file=sys.stderr)
-        loss_rows, episode_rows, status = [], [], 1
+        status = 1
 
     write_csv(
         os.path.join(out_dir, "loss.csv"), ["step", "loss"],
@@ -441,59 +408,31 @@ def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
 # -- gradient verification harness
 
 
-def _iter_params(net: Network):
-    for arr in (*net.weights, *net.biases):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            yield arr, it.multi_index
-
-
-def _fd_max_error(scalar_fn, nets: dict, analytic: dict, h: float) -> float:
-    max_err = 0.0
-    for name, net in nets.items():
-        grads = analytic[name]
-        flat = list(grads.weights) + list(grads.biases)
-        arrays = list(net.weights) + list(net.biases)
-        for arr, g in zip(arrays, flat):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                f_plus = scalar_fn()
-                arr[idx] = orig - h
-                f_minus = scalar_fn()
-                arr[idx] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                err = abs(g[idx] - numeric) / max(abs(numeric), 1e-8)
-                max_err = max(max_err, err)
-    return max_err
-
-
 def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> dict:
     """Finite-difference sweeps for net, Q, and loss gradients.
 
     Small hidden layers keep the parameter sweep fast; the gradient code
     paths are identical at any width.
     """
-    from .nafq import q_gradients_batch
-
     rng = np.random.default_rng(seed)
 
     net = net_init([3, 8, 1], rng)
     x = rng.normal(size=3)
-    net_err = finite_diff_check(net, x, h)
+    y, cache = net_forward(net, x)
+    net_grad, _ = net_backward(net, cache, np.ones_like(y))
+    net_err = finite_diff_check(lambda: float(np.sum(net_forward(net, x)[0])),
+                                net.flat, net_grad, h)
 
     params = NafParams.init(rng, hidden=(8,))
     state_arr = rng.normal(size=6)
     state_arr[0] = abs(state_arr[0]) * 10  # plausible speed
     state = RlState(*state_arr)
     action = Action(float(rng.uniform(-0.5, 0.5)))
-    grads, _ = q_gradients_batch(state_arr[None, :], [action.a_yaw], [1.0], params)
+    grad, _ = q_gradients_batch(state_arr[None, :], [action.a_yaw], [1.0], params)
     if inject_fault:
-        grads["m_net"].weights[0][0, 0] *= 1.10
-    q_err = _fd_max_error(lambda: q_value(state, action, params),
-                          params.nets(), grads, h)
+        grad[params.span("m_net").start] *= 1.10  # first weight of m_net
+    q_err = finite_diff_check(lambda: q_value(state, action, params),
+                              params.flat, grad, h)
 
     # loss gradients on a small random batch
     target = NafParams.init(rng, hidden=(8,))
@@ -508,9 +447,9 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     actions = np.array([tr.a.a_yaw for tr in batch])
     _, errors = batch_loss(batch, params, target, 0.95)
     coeffs = (2.0 / len(batch)) * (-errors)  # errors are target - Q
-    loss_grads, _ = q_gradients_batch(states, actions, coeffs, params)
-    loss_err = _fd_max_error(lambda: batch_loss(batch, params, target, 0.95)[0],
-                             params.nets(), loss_grads, h)
+    loss_grad, _ = q_gradients_batch(states, actions, coeffs, params)
+    loss_err = finite_diff_check(lambda: batch_loss(batch, params, target, 0.95)[0],
+                                 params.flat, loss_grad, h)
 
     return {"net": net_err, "q_value": q_err, "batch_loss": loss_err}
 

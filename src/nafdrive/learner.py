@@ -17,11 +17,17 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, NumericalError
 from .nafq import (Action, NafParams, RlState, explore_action, fit_gradients,
                    greedy_actions_batch, q_values_batch)
-from .netcore import adaptive_update, net_forward, opt_init
+from .netcore import OptState, adaptive_update, net_forward
 from .simworld import EpisodeMetrics, World, WorldConfig
 
 PRETRAIN = "pretrain"
 JOINT = "joint"
+
+# Parameter slices stepped by Adam, each with its own step count: the
+# curvature and value nets train in both stages, the greedy head only in
+# the joint stage.
+ADAM_SLICES = {"head": NafParams.MU_NET_NAMES, "q": ("m_net", "v_net")}
+STAGE_SLICES = {PRETRAIN: ("q",), JOINT: ("head", "q")}
 
 
 @dataclass
@@ -130,26 +136,28 @@ def batch_loss(batch, params: NafParams, target_params: NafParams, gamma: float)
 
 
 def train_step(params: NafParams, target_params: NafParams, batch,
-               stage: str, opt_states: dict, lr: float, gamma: float) -> float:
+               stage: str, opt_states: OptState, lr: float, gamma: float) -> float:
     """One semi-gradient step on the mini-batch loss.
 
     The target is treated as a constant (no gradient through the frozen
     copy).  In the pretrain stage only the curvature and value networks
     update; the three greedy-head networks stay bit-frozen.
     """
-    if stage not in (PRETRAIN, JOINT):
+    if stage not in STAGE_SLICES:
         raise ConfigurationError(f"unknown stage {stage!r}")
     states, actions, next_states, rewards, nonterminal = _batch_arrays(batch)
     targets = _targets(next_states, rewards, nonterminal, target_params, gamma)
 
     # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta
-    loss, grads = fit_gradients(states, actions, targets, params)
+    loss, grad = fit_gradients(states, actions, targets, params)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss; step aborted")
 
-    trainable = params.NET_NAMES if stage == JOINT else ("m_net", "v_net")
-    for name in trainable:
-        adaptive_update(getattr(params, name), grads[name], opt_states[name], lr)
+    for key in STAGE_SLICES[stage]:
+        span = params.span(*ADAM_SLICES[key])
+        opt_states.t[key] = adaptive_update(params.flat[span], grad[span],
+                                            opt_states.m[span], opt_states.v[span],
+                                            opt_states.t[key], lr)
     return loss
 
 
@@ -158,8 +166,9 @@ def sync_target(params: NafParams) -> NafParams:
     return params.copy()
 
 
-def opt_states_init(params: NafParams) -> dict:
-    return {name: opt_init(net) for name, net in params.nets().items()}
+def opt_states_init(params: NafParams) -> OptState:
+    return OptState(np.zeros_like(params.flat), np.zeros_like(params.flat),
+                    dict.fromkeys(ADAM_SLICES, 0))
 
 
 def make_rngs(seed: int) -> dict:
@@ -181,7 +190,7 @@ def sigma_at(cfg: TrainConfig, step: int) -> float:
 class TrainResult:
     params: NafParams
     target_params: NafParams
-    opt_states: dict
+    opt_states: OptState
     rngs: dict
     loss_rows: list[tuple[int, float | None]]
     episode_rows: list[EpisodeMetrics]
@@ -190,7 +199,9 @@ class TrainResult:
 
 
 def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
-                 checkpoint_hook=None, naf_constants: dict | None = None) -> TrainResult:
+                 checkpoint_hook=None, naf_constants: dict | None = None,
+                 loss_rows: list | None = None,
+                 episode_rows: list | None = None) -> TrainResult:
     """Interleaved simulate/train loop.
 
     Per tick: every maneuvering vehicle acts under the current parameters
@@ -200,6 +211,9 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     pretrain to joint after pretrain_steps.  Loss is logged every
     loss_log_every global steps (empty before the first trained step) and
     `checkpoint_hook(step, state_dict)` fires at each scheduled step.
+    Rows are appended to `loss_rows` and `episode_rows` as they are
+    produced, so a caller that passes its own lists keeps the rows logged
+    before a fault.
     """
     train_cfg.validate()
     rngs = make_rngs(train_cfg.seed)
@@ -209,8 +223,8 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     buffer = ReplayBuffer(train_cfg.buffer_capacity)
     world = World(world_cfg, rngs["spawn"], rngs["trigger"])
 
-    loss_rows: list[tuple[int, float | None]] = []
-    episode_rows: list[EpisodeMetrics] = []
+    loss_rows = [] if loss_rows is None else loss_rows
+    episode_rows = [] if episode_rows is None else episode_rows
     checkpoint_steps: list[int] = []
     schedule = set(train_cfg.checkpoint_schedule)
     last_loss: float | None = None
@@ -221,7 +235,7 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
         S = np.stack([s.as_array() for s in states])
         mu = greedy_actions_batch(S, params)
         noise = rng_explore.normal(0.0, sigma, size=len(states))
-        a = np.clip(mu + noise, -params.a_clip, params.a_clip)
+        a = np.clip(mu + noise, -params.a_cap, params.a_cap)
         return [Action(float(x)) for x in a]
 
     for step in range(1, train_cfg.total_steps + 1):

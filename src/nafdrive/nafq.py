@@ -9,13 +9,13 @@ deviation features of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-from .errors import NumericalError
-from .netcore import GradientSet, Network, net_backward, net_forward, net_init
+from .errors import ContractError, NumericalError
+from .netcore import Network, net_backward, net_forward, net_init, param_count
 
 STATE_DIM = 6
 DEFAULT_HIDDEN = (64, 64)
@@ -69,47 +69,62 @@ class HeadValues:
 
 @dataclass
 class NafParams:
-    """The five networks behind Q plus the transform constants."""
+    """The five networks behind Q plus the transform constants.
 
-    amax_net: Network
-    beta_net: Network
-    ttrans_net: Network
-    m_net: Network
-    v_net: Network
+    All five nets share `layer_dims`, and their parameters are one flat
+    vector `flat`, net after net in NET_NAMES order; each net attribute is
+    a Network of views into it.  Gradients and optimizer moments use the
+    same layout.
+    """
+
+    layer_dims: list[int]
+    flat: np.ndarray | None = None  # zeros when not given
     a_cap: float = A_CAP
     t_min: float = T_MIN
     t_max: float = T_MAX
     m_eps: float = M_EPS
+    amax_net: Network = field(init=False, repr=False)
+    beta_net: Network = field(init=False, repr=False)
+    ttrans_net: Network = field(init=False, repr=False)
+    m_net: Network = field(init=False, repr=False)
+    v_net: Network = field(init=False, repr=False)
 
     NET_NAMES = ("amax_net", "beta_net", "ttrans_net", "m_net", "v_net")
     MU_NET_NAMES = ("amax_net", "beta_net", "ttrans_net")
 
-    @property
-    def a_clip(self) -> float:
-        return self.a_cap
+    def __post_init__(self):
+        n = param_count(self.layer_dims)
+        if self.flat is None:
+            self.flat = np.zeros(len(self.NET_NAMES) * n)
+        if self.flat.shape != (len(self.NET_NAMES) * n,):
+            raise ContractError(
+                f"flat parameters {self.flat.shape} do not fit five nets of "
+                f"layer_dims {self.layer_dims}")
+        for k, name in enumerate(self.NET_NAMES):
+            setattr(self, name, Network(self.layer_dims, self.flat[k * n:(k + 1) * n]))
 
     def nets(self):
         return {name: getattr(self, name) for name in self.NET_NAMES}
 
+    def span(self, *names) -> slice:
+        """The slice of `flat` holding the named nets, which must be adjacent
+        in NET_NAMES order."""
+        first = self.NET_NAMES.index(names[0])
+        if self.NET_NAMES[first:first + len(names)] != names:
+            raise ContractError(f"nets {names} are not adjacent in {self.NET_NAMES}")
+        n = param_count(self.layer_dims)
+        return slice(first * n, (first + len(names)) * n)
+
     def copy(self) -> "NafParams":
-        return NafParams(
-            self.amax_net.copy(),
-            self.beta_net.copy(),
-            self.ttrans_net.copy(),
-            self.m_net.copy(),
-            self.v_net.copy(),
-            self.a_cap,
-            self.t_min,
-            self.t_max,
-            self.m_eps,
-        )
+        return replace(self, layer_dims=list(self.layer_dims), flat=self.flat.copy())
 
     @classmethod
     def init(cls, seed, hidden=DEFAULT_HIDDEN, **constants) -> "NafParams":
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        dims = [STATE_DIM, *hidden, 1]
-        nets = [net_init(dims, rng) for _ in range(5)]
-        return cls(*nets, **constants)
+        params = cls([STATE_DIM, *hidden, 1], **constants)
+        for net in params.nets().values():
+            net_init(net.layer_dims, rng, net.flat)
+        return params
 
 
 def _softplus(x):
@@ -215,7 +230,7 @@ def explore_action(state: RlState, params: NafParams, sigma: float, rng) -> Acti
     """Greedy action perturbed with clipped Gaussian noise."""
     mu = mu_action(state, params)[0].a_yaw
     a = mu + rng.normal(0.0, sigma)
-    return Action(float(np.clip(a, -params.a_clip, params.a_clip)))
+    return Action(float(np.clip(a, -params.a_cap, params.a_cap)))
 
 
 def greedy_actions_batch(states: np.ndarray, params: NafParams) -> np.ndarray:
@@ -268,20 +283,19 @@ def _q_upstreams(h: _Heads, params: NafParams, actions: np.ndarray):
 
 
 def _weighted_backward(h: _Heads, params: NafParams, upstream: dict, coeffs):
-    grads = {}
+    grad = np.empty_like(params.flat)
     for name, net in params.nets().items():
         up = (coeffs * upstream[name])[:, None]
-        g, _ = net_backward(net, h.caches[name], up)
-        if not g.all_finite():
+        g, _ = net_backward(net, h.caches[name], up, grad[params.span(name)])
+        if not np.isfinite(g.sum()):
             raise NumericalError(f"non-finite gradient through {name}")
-        grads[name] = g
-    return grads
+    return grad
 
 
 def q_gradients_batch(states, actions, coeffs, params: NafParams):
-    """Accumulated gradients of sum_i coeffs_i * Q(s_i, a_i) per network.
+    """Accumulated gradient of sum_i coeffs_i * Q(s_i, a_i).
 
-    Returns (grads_by_net_name, q_values).
+    Returns (grad, q_values); grad is laid out like `params.flat`.
     """
     S = np.atleast_2d(np.asarray(states, dtype=float))
     a = np.asarray(actions, dtype=float).reshape(-1)
@@ -292,10 +306,11 @@ def q_gradients_batch(states, actions, coeffs, params: NafParams):
 
 
 def fit_gradients(states, actions, targets, params: NafParams):
-    """Loss and gradients of the mean squared TD error in one pass.
+    """Loss and gradient of the mean squared TD error in one pass.
 
     loss = (1/N) sum_i (Q_i - target_i)^2 with the targets held constant;
     head networks are evaluated once and reused for the backward sweep.
+    The gradient is laid out like `params.flat`.
     """
     S = np.atleast_2d(np.asarray(states, dtype=float))
     a = np.asarray(actions, dtype=float).reshape(-1)
@@ -305,13 +320,4 @@ def fit_gradients(states, actions, targets, params: NafParams):
     errors = q - t
     loss = float(np.mean(errors**2))
     coeffs = (2.0 / len(a)) * errors
-    grads = _weighted_backward(h, params, upstream, coeffs)
-    return loss, grads
-
-
-def q_gradients(state: RlState, action: Action, params: NafParams) -> dict[str, GradientSet]:
-    """Exact dQ/d(parameter) for a single (state, action) pair."""
-    grads, _ = q_gradients_batch(
-        state.as_array()[None, :], [action.a_yaw], [1.0], params
-    )
-    return grads
+    return loss, _weighted_backward(h, params, upstream, coeffs)

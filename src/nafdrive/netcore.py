@@ -4,6 +4,10 @@ Every network here is a fixed MLP: affine layers with tanh on the hidden
 layers and a linear output.  Forward passes accept a single input vector
 or a batch (n, d); gradients are accumulated over the batch.  All math is
 float64 so the finite-difference checks can be tight.
+
+A network's parameters are one flat vector, layer by layer: W_0 (row-major,
+(fan_out, fan_in)), b_0, W_1, b_1, ...  Gradients use the same layout, so
+an optimizer step or a finite-difference sweep is one pass over a vector.
 """
 
 from __future__ import annotations
@@ -19,97 +23,73 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def param_count(layer_dims) -> int:
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
 @dataclass
 class Network:
+    """Weights and biases as per-layer views of the flat vector `flat`;
+    writing through a view writes the vector."""
+
     layer_dims: list[int]
-    weights: list[np.ndarray]  # each (fan_out, fan_in)
-    biases: list[np.ndarray]   # each (fan_out,)
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out, fan_in)
+    biases: list[np.ndarray] = field(init=False, repr=False)   # each (fan_out,)
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        if self.flat.shape != (param_count(dims),) or not self.flat.flags.c_contiguous:
+            raise ContractError(
+                f"flat parameters {self.flat.shape} do not fit layer_dims {dims}")
+        self.weights, self.biases = [], []
+        i = 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            self.weights.append(self.flat[i:i + fan_out * fan_in].reshape(fan_out, fan_in))
+            i += fan_out * fan_in
+            self.biases.append(self.flat[i:i + fan_out])
+            i += fan_out
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "Network":
-        return Network(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return Network(list(self.layer_dims), self.flat.copy())
 
     def param_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-
-@dataclass
-class GradientSet:
-    """Per-parameter gradients, shape-congruent with a Network."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def scale(self, c: float) -> "GradientSet":
-        return GradientSet([c * w for w in self.weights], [c * b for b in self.biases])
-
-    def add_(self, other: "GradientSet") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
-
-    def all_finite(self) -> bool:
-        # sum is non-finite iff some entry is (inf - inf still yields nan)
-        total = 0.0
-        for w in self.weights:
-            total += float(w.sum())
-        for b in self.biases:
-            total += float(b.sum())
-        return np.isfinite(total)
-
-
-def zero_grads(net: Network) -> GradientSet:
-    return GradientSet(
-        [np.zeros_like(w) for w in net.weights],
-        [np.zeros_like(b) for b in net.biases],
-    )
+        return self.flat.size
 
 
 @dataclass
 class OptState:
-    """Adaptive-moment accumulators for one Network."""
+    """Adam moments, shape-congruent with a flat parameter vector.  Slices
+    of the vector that are stepped on different schedules keep separate
+    step counts, by name, in `t`."""
 
-    m_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_w: list[np.ndarray]
-    v_b: list[np.ndarray]
-    t: int = 0
-
-
-def opt_init(net: Network) -> OptState:
-    return OptState(
-        [np.zeros_like(w) for w in net.weights],
-        [np.zeros_like(b) for b in net.biases],
-        [np.zeros_like(w) for w in net.weights],
-        [np.zeros_like(b) for b in net.biases],
-        0,
-    )
+    m: np.ndarray
+    v: np.ndarray
+    t: dict[str, int]
 
 
-def net_init(layer_dims, seed) -> Network:
+def net_init(layer_dims, seed, flat=None) -> Network:
     """Build a network with uniform fan-scaled weights and zero biases.
 
     `seed` may be an int or an existing numpy Generator (the latter lets a
-    caller initialize several networks from one stream).
+    caller initialize several networks from one stream).  The parameters
+    are written to `flat` when it is given, else to a new vector.
     """
     dims = list(layer_dims)
     if len(dims) < 2 or any((not isinstance(d, (int, np.integer))) or d < 1 for d in dims):
         raise ConfigurationError(f"invalid layer dims: {layer_dims!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    net = Network(dims, np.zeros(param_count(dims)) if flat is None else flat)
+    for w, b, fan_in, fan_out in zip(net.weights, net.biases, dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases)
+        w[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+        b[...] = 0.0
+    return net
 
 
 def net_forward(net: Network, x):
@@ -141,12 +121,14 @@ def net_forward(net: Network, x):
     return y, cache
 
 
-def net_backward(net: Network, cache, upstream):
+def net_backward(net: Network, cache, upstream, out=None):
     """Exact gradients of sum_i upstream_i . y_i w.r.t. parameters and input.
 
     `upstream` matches the forward output's shape ((out,) or (n, out)).
-    Batch items contribute additively to the parameter gradients; the
-    returned input gradient keeps the batch shape.
+    Batch items contribute additively to the parameter gradients, which
+    are written to the flat vector `out` (a new one when not given) in the
+    parameter layout.  Returns (out, input_grad); the input gradient keeps
+    the batch shape.
     """
     n_layers, inputs, acts = cache
     if (n_layers != net.n_layers or len(inputs) != net.n_layers
@@ -160,75 +142,55 @@ def net_backward(net: Network, cache, upstream):
         raise ContractError(
             f"upstream shape {upstream.shape} incompatible with cached batch"
         )
-    gw = [None] * net.n_layers
-    gb = [None] * net.n_layers
+    grads = Network(net.layer_dims, np.empty(net.flat.size) if out is None else out)
     for k in range(net.n_layers - 1, -1, -1):
-        gw[k] = delta.T @ inputs[k]
-        gb[k] = delta.sum(axis=0)
+        np.matmul(delta.T, inputs[k], out=grads.weights[k])
+        delta.sum(axis=0, out=grads.biases[k])
         dx = delta @ net.weights[k]
         if k > 0:
             dx = dx * (1.0 - acts[k - 1] ** 2)  # tanh'
         delta = dx
     input_grad = delta[0] if single else delta
-    return GradientSet(gw, gb), input_grad
+    return grads.flat, input_grad
 
 
-def finite_diff_check(net: Network, x, h: float = 1e-4, grads: GradientSet | None = None):
-    """Max relative error between analytic and central-difference gradients.
-
-    The scalar objective is sum(y).  `grads` defaults to the analytic
-    gradients; passing a modified set lets tests inject faults.
-    """
+def finite_diff_check(objective, theta: np.ndarray, analytic, h: float = 1e-4) -> float:
+    """Max relative error between `analytic` and central differences of the
+    scalar `objective()` with respect to each entry of the flat vector
+    `theta`, which is perturbed in place and restored."""
     if h <= 0:
         raise ConfigurationError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    y, cache = net_forward(net, x)
-    if grads is None:
-        grads, _ = net_backward(net, cache, np.ones_like(y))
-
-    def objective():
-        return float(np.sum(net_forward(net, x)[0]))
-
     max_err = 0.0
-    for params, analytic in ((net.weights, grads.weights), (net.biases, grads.biases)):
-        for arr, g in zip(params, analytic):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                f_plus = objective()
-                arr[idx] = orig - h
-                f_minus = objective()
-                arr[idx] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                err = abs(g[idx] - numeric) / max(abs(numeric), 1e-8)
-                max_err = max(max_err, err)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        f_plus = objective()
+        theta[i] = orig - h
+        f_minus = objective()
+        theta[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        err = abs(analytic[i] - numeric) / max(abs(numeric), 1e-8)
+        max_err = max(max_err, err)
     return max_err
 
 
-def adaptive_update(net: Network, grads: GradientSet, opt: OptState, lr: float):
-    """One Adam step (decay 0.9/0.999, eps 1e-8, bias-corrected), in place.
+def adaptive_update(theta, grad, m, v, t: int, lr: float) -> int:
+    """One Adam step (decay 0.9/0.999, eps 1e-8, bias-corrected) on the flat
+    vectors theta, m and v, in place, after `t` earlier steps.
 
-    Returns (net, opt) for convenience.  Rejects non-finite gradients.
+    Returns the new step count t + 1.  Rejects non-finite gradients.
     """
     if lr < 0:
         raise ConfigurationError("learning rate must be non-negative")
-    if not grads.all_finite():
+    # the sum is non-finite iff some entry is (inf - inf still yields nan)
+    if not np.isfinite(grad.sum()):
         raise NumericalError("non-finite gradient; update rejected")
-    opt.t += 1
-    c1 = 1.0 - ADAM_BETA1 ** opt.t
-    c2 = 1.0 - ADAM_BETA2 ** opt.t
-    for w, g, m, v in zip(net.weights, grads.weights, opt.m_w, opt.v_w):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        w -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    for b, g, m, v in zip(net.biases, grads.biases, opt.m_b, opt.v_b):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        b -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return net, opt
+    t += 1
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    return t

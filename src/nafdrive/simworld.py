@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import SimulationFault
+from .errors import ContractError, SimulationFault
 from .gapcheck import MonitorDecision, gap_acceptable, monitor_step, past_commit_point
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
 from .nafq import Action, RlState
@@ -335,7 +335,7 @@ class World:
             if len(vals) == 1:
                 vals.append(None)
             return dual_leader_accel(veh.v, p, vals[0], vals[1])
-        except ValueError:
+        except ContractError:
             # non-positive gap: collision state; brake hard, record the fault
             faults.append(f"step {self.step_count}: vehicle {veh.id} gap<=0")
             return -p.b_max

@@ -169,6 +169,7 @@ def desk_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_7_training_trends(desk_runs):
     wc = WorldConfig()
     ratios, reward_wins, yaw_wins = [], 0, 0

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from nafdrive import learner
 from nafdrive.cli import (CHECKPOINT_VERSION, checkgrad_suite, cmd_checkgrad,
                           config_digest, default_config_dict, load_checkpoint,
                           load_config, main, parse_config, save_checkpoint)
-from nafdrive.errors import ConfigurationError
+from nafdrive.errors import ConfigurationError, NumericalError
 from nafdrive.learner import make_rngs, opt_states_init
 from nafdrive.nafq import NafParams
 
@@ -106,10 +107,11 @@ def test_checkpoint_version_checked(tmp_path):
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, 1, params, target, opt, rngs, "d")
     data = json.loads(open(path).read())
-    data["format_version"] = CHECKPOINT_VERSION + 1
-    open(path, "w").write(json.dumps(data))
-    with pytest.raises(ConfigurationError):
-        load_checkpoint(path)
+    for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):
+        data["format_version"] = version
+        open(path, "w").write(json.dumps(data))
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
 
 
 # -- train command
@@ -141,6 +143,35 @@ def test_cmd_train_rerun_byte_identical(tmp_path):
         a = open(os.path.join(out1, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert a == b, name
+
+
+def test_cmd_train_fault_keeps_logged_rows(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, desk_config())
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    assert main(["train", "--config", cfg_path, "--out", full]) == 0
+    calls = 0
+    train_step = learner.train_step
+
+    def failing_train_step(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise NumericalError("injected fault")
+        return train_step(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "train_step", failing_train_step)
+    assert main(["train", "--config", cfg_path, "--out", cut]) == 1
+    assert "injected fault" in capsys.readouterr().err
+    # the files hold the start of a clean run's logs, up to the fault
+    kept = {}
+    for name in ("loss.csv", "episodes.csv"):
+        kept[name] = open(os.path.join(cut, name)).read().splitlines()
+        whole = open(os.path.join(full, name)).read().splitlines()
+        assert kept[name] == whole[:len(kept[name])]
+    losses = [line.split(",")[1] for line in kept["loss.csv"][2:]]
+    assert len(losses) < 600 // 20
+    # the 99 steps trained before the fault span at least four log points
+    assert sum(loss != "" for loss in losses) >= 4
 
 
 def test_cmd_train_missing_field_exit_code(tmp_path, capsys):

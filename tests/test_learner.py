@@ -7,16 +7,18 @@ import pytest
 
 from nafdrive.errors import ConfigurationError, ContractError
 from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
-                              Transition, batch_loss, make_rngs,
-                              opt_states_init, run_training, sigma_at,
-                              sync_target, td_target, train_step)
-from nafdrive.nafq import Action, NafParams, RlState, q_value
-from nafdrive.netcore import Network
+                              Transition, _batch_arrays, _targets, batch_loss,
+                              make_rngs, opt_states_init, run_training,
+                              sigma_at, sync_target, td_target, train_step)
+from nafdrive.nafq import Action, NafParams, RlState, fit_gradients, q_value
 from nafdrive.simworld import WorldConfig
 
 
-def const_net(bias: float) -> Network:
-    return Network([6, 1], [np.zeros((1, 6))], [np.array([bias])])
+def const_params(v_bias: float) -> NafParams:
+    """Single affine layer with zero weights per net; V(s) = v_bias."""
+    params = NafParams([6, 1])
+    params.v_net.biases[0][0] = v_bias
+    return params
 
 
 def zero_state():
@@ -105,30 +107,26 @@ def test_sample_uniformity():
 
 def test_td_target_terminal_is_reward():
     tr = Transition(zero_state(), Action(0.0), zero_state(), -0.5, True)
-    params = NafParams(const_net(0), const_net(0), const_net(0), const_net(0),
-                       const_net(-2.0))
+    params = const_params(-2.0)
     assert td_target(tr, params, 0.95) == -0.5
 
 
 def test_td_target_zero_gamma_is_reward():
     tr = Transition(zero_state(), Action(0.0), zero_state(), -0.7, False)
-    params = NafParams(const_net(0), const_net(0), const_net(0), const_net(0),
-                       const_net(-2.0))
+    params = const_params(-2.0)
     assert td_target(tr, params, 0.0) == -0.7
 
 
 def test_td_target_hand_case():
     # r = -0.5, gamma = 0.95, V(s') = -2  ->  -2.4
     tr = Transition(zero_state(), Action(0.0), zero_state(), -0.5, False)
-    params = NafParams(const_net(0), const_net(0), const_net(0), const_net(0),
-                       const_net(-2.0))
+    params = const_params(-2.0)
     assert td_target(tr, params, 0.95) == pytest.approx(-2.4, abs=1e-12)
 
 
 def test_batch_loss_zero_when_predictions_match():
     # zero-feature states give Q(s, 0) = V = 0; terminal targets r = 0
-    params = NafParams(const_net(0), const_net(0), const_net(0), const_net(0),
-                       const_net(0.0))
+    params = const_params(0.0)
     batch = [Transition(zero_state(), Action(0.0), zero_state(), 0.0, True)]
     loss, errors = batch_loss(batch, params, params, 0.95)
     assert loss == 0.0 and np.all(errors == 0.0)
@@ -137,8 +135,7 @@ def test_batch_loss_zero_when_predictions_match():
 def test_batch_loss_hand_case():
     # Q = 0 everywhere (a = 0, V = 0); terminal rewards 1 and 3 give
     # errors 1 and 3 -> loss (1 + 9)/2 = 5
-    params = NafParams(const_net(0), const_net(0), const_net(0), const_net(0),
-                       const_net(0.0))
+    params = const_params(0.0)
     batch = [Transition(zero_state(), Action(0.0), zero_state(), 1.0, True),
              Transition(zero_state(), Action(0.0), zero_state(), 3.0, True)]
     loss, errors = batch_loss(batch, params, params, 0.95)
@@ -147,8 +144,7 @@ def test_batch_loss_hand_case():
 
 
 def test_batch_loss_single_item_square():
-    params = NafParams(const_net(0), const_net(0), const_net(0), const_net(0),
-                       const_net(0.0))
+    params = const_params(0.0)
     batch = [Transition(zero_state(), Action(0.0), zero_state(), -0.3, True)]
     loss, _ = batch_loss(batch, params, params, 0.95)
     assert loss == pytest.approx(0.09, abs=1e-15)
@@ -173,29 +169,45 @@ def _params_and_batch(seed=0, n=16):
 
 def test_pretrain_freezes_greedy_heads():
     params, target, batch = _params_and_batch()
-    frozen = {name: getattr(params, name).copy()
-              for name in NafParams.MU_NET_NAMES}
+    head = params.span(*NafParams.MU_NET_NAMES)
+    frozen = params.flat[head].copy()
     opt = opt_states_init(params)
     for _ in range(5):
         train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
-    for name, before in frozen.items():
-        after = getattr(params, name)
-        for a, b in zip(after.weights, before.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(after.biases, before.biases):
-            assert np.array_equal(a, b)
+    assert np.array_equal(params.flat[head], frozen)
+    assert np.all(opt.m[head] == 0.0) and opt.t == {"head": 0, "q": 5}
     # the value heads did move
     assert not np.array_equal(params.v_net.biases[-1], target.v_net.biases[-1])
+
+
+def test_head_adam_step_count_starts_at_joint_stage():
+    # the greedy head's first Adam step is its own step 1, however many
+    # pretrain steps the curvature and value nets took: with zero moments
+    # carried in, each parameter moves by lr * |g| / (|g| + eps)
+    params, target, batch = _params_and_batch(5)
+    opt = opt_states_init(params)
+    for _ in range(5):
+        train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
+    head = params.span(*NafParams.MU_NET_NAMES)
+    before = params.flat[head].copy()
+    states, actions, next_states, rewards, nonterminal = _batch_arrays(batch)
+    targets = _targets(next_states, rewards, nonterminal, target, 0.95)
+    _, grad = fit_gradients(states, actions, targets, params)
+    g = np.abs(grad[head])
+    lr = 0.001
+    train_step(params, target, batch, JOINT, opt, lr, 0.95)
+    assert opt.t == {"head": 1, "q": 6}
+    moved = np.abs(params.flat[head] - before)
+    big = g > 1e-4
+    assert big.sum() > 10
+    assert np.allclose(moved[big], lr * g[big] / (g[big] + 1e-8), rtol=1e-9)
 
 
 def test_zero_lr_changes_nothing():
     params, target, batch = _params_and_batch(1)
     before = params.copy()
     train_step(params, target, batch, JOINT, opt_states_init(params), 0.0, 0.95)
-    for name in NafParams.NET_NAMES:
-        for a, b in zip(getattr(params, name).weights,
-                        getattr(before, name).weights):
-            assert np.array_equal(a, b)
+    assert np.array_equal(params.flat, before.flat)
 
 
 def test_unknown_stage_rejected():

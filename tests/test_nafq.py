@@ -6,23 +6,28 @@ import numpy as np
 import pytest
 
 from nafdrive.errors import NumericalError
+from nafdrive.errors import ContractError
 from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, Action, NafParams,
                            RlState, deviation_features, explore_action,
-                           greedy_action, m_value, mu_action, q_gradients,
-                           q_value, v_value)
-from nafdrive.netcore import Network
-
-
-def const_net(bias: float) -> Network:
-    """Single affine layer with zero weights: output is always `bias`."""
-    return Network([6, 1], [np.zeros((1, 6))], [np.array([bias])])
+                           greedy_action, m_value, mu_action,
+                           q_gradients_batch, q_value, v_value)
+from nafdrive.netcore import finite_diff_check
 
 
 def const_params(amax_bias=0.0, beta_bias=0.0, ttrans_bias=0.0,
                  m_bias=0.0, v_bias=0.0) -> NafParams:
-    return NafParams(const_net(amax_bias), const_net(beta_bias),
-                     const_net(ttrans_bias), const_net(m_bias),
-                     const_net(v_bias))
+    """Single affine layer with zero weights per net: each outputs its bias."""
+    params = NafParams([6, 1])
+    biases = (amax_bias, beta_bias, ttrans_bias, m_bias, v_bias)
+    for net, bias in zip(params.nets().values(), biases):
+        net.biases[0][0] = bias
+    return params
+
+
+def q_gradient(state, action, params):
+    grad, _ = q_gradients_batch(state.as_array()[None, :], [action.a_yaw],
+                                [1.0], params)
+    return grad
 
 
 def random_state(rng) -> RlState:
@@ -221,9 +226,8 @@ def test_gradient_zero_for_amax_when_atmp_zero():
     rng = np.random.default_rng(10)
     params = NafParams.init(rng, hidden=(8,))
     s = RlState(20.0, 0.0, 0.0, 0.0, 0.1, 0.0)  # a_tmp = 0
-    grads = q_gradients(s, Action(0.2), params)
-    for w in grads["amax_net"].weights:
-        assert np.all(w == 0.0)
+    grad = q_gradient(s, Action(0.2), params)
+    assert np.all(grad[params.span("amax_net")] == 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -231,25 +235,8 @@ def test_gradients_match_finite_differences():
     params = NafParams.init(rng, hidden=(8,))
     s = random_state(rng)
     a = Action(float(rng.uniform(-0.5, 0.5)))
-    grads = q_gradients(s, a, params)
-    h = 1e-4
-    max_err = 0.0
-    for name, net in params.nets().items():
-        g = grads[name]
-        for arr, garr in zip([*net.weights, *net.biases],
-                             [*g.weights, *g.biases]):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                f_plus = q_value(s, a, params)
-                arr[idx] = orig - h
-                f_minus = q_value(s, a, params)
-                arr[idx] = orig
-                numeric = (f_plus - f_minus) / (2 * h)
-                err = abs(garr[idx] - numeric) / max(abs(numeric), 1e-8)
-                max_err = max(max_err, err)
+    grad = q_gradient(s, a, params)
+    max_err = finite_diff_check(lambda: q_value(s, a, params), params.flat, grad)
     assert max_err < 1e-4
 
 
@@ -257,7 +244,6 @@ def test_constants_defaults():
     params = NafParams.init(0, hidden=(8,))
     assert (params.a_cap, params.t_min, params.t_max, params.m_eps) == \
         (A_CAP, T_MIN, T_MAX, M_EPS)
-    assert params.a_clip == params.a_cap
 
 
 def test_params_copy_independent():
@@ -265,3 +251,16 @@ def test_params_copy_independent():
     dup = params.copy()
     params.v_net.biases[-1][0] += 1.0
     assert dup.v_net.biases[-1][0] != params.v_net.biases[-1][0]
+    assert np.shares_memory(params.v_net.flat, params.flat)
+    assert not np.shares_memory(dup.flat, params.flat)
+
+
+def test_params_span_layout():
+    params = NafParams.init(0, hidden=(8,))
+    n = params.v_net.param_count()
+    assert params.flat.shape == (5 * n,)
+    assert params.span(*NafParams.MU_NET_NAMES) == slice(0, 3 * n)
+    assert params.span("m_net", "v_net") == slice(3 * n, 5 * n)
+    assert np.array_equal(params.flat[params.span("beta_net")], params.beta_net.flat)
+    with pytest.raises(ContractError):
+        params.span("amax_net", "m_net")

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from nafdrive.errors import ConfigurationError, ContractError, NumericalError
-from nafdrive.netcore import (GradientSet, Network, adaptive_update,
-                              finite_diff_check, net_backward, net_forward,
-                              net_init, opt_init, zero_grads)
+from nafdrive.netcore import (Network, adaptive_update, finite_diff_check,
+                              net_backward, net_forward, net_init)
+
+
+def sum_objective(net, x):
+    return lambda: float(np.sum(net_forward(net, x)[0]))
+
+
+def sum_gradient(net, x):
+    y, cache = net_forward(net, x)
+    return net_backward(net, cache, np.ones_like(y))[0]
 
 
 def test_init_shapes_and_zero_biases():
@@ -14,6 +22,19 @@ def test_init_shapes_and_zero_biases():
     assert len(net.weights) == 1 and net.weights[0].shape == (3, 2)
     assert len(net.biases) == 1 and net.biases[0].shape == (3,)
     assert np.all(net.biases[0] == 0.0)
+
+
+def test_views_share_the_flat_vector():
+    # layout W_0 (row-major), b_0, W_1, b_1
+    net = Network([2, 3, 1], np.arange(13.0))
+    assert net.weights[0].tolist() == [[0, 1], [2, 3], [4, 5]]
+    assert net.biases[0].tolist() == [6, 7, 8]
+    assert net.weights[1].tolist() == [[9, 10, 11]]
+    assert net.biases[1].tolist() == [12]
+    net.biases[1][0] = -1.0
+    assert net.flat[12] == -1.0
+    with pytest.raises(ContractError):
+        Network([2, 3, 1], np.zeros(12))
 
 
 def test_init_param_count():
@@ -51,14 +72,13 @@ def test_forward_zero_net_is_zero():
 
 
 def test_forward_identity_layer():
-    net = Network([1, 1], [np.array([[1.0]])], [np.zeros(1)])
+    net = Network([1, 1], np.array([1.0, 0.0]))  # w = 1, b = 0
     y, _ = net_forward(net, np.array([0.5]))
     assert y[0] == 0.5
 
 
 def test_forward_single_hidden_tanh():
-    net = Network([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])],
-                  [np.zeros(1), np.zeros(1)])
+    net = Network([1, 1, 1], np.array([1.0, 0.0, 1.0, 0.0]))
     y, _ = net_forward(net, np.array([0.5]))
     assert y[0] == pytest.approx(np.tanh(0.5), abs=1e-15)
 
@@ -81,19 +101,18 @@ def test_forward_dim_mismatch():
 def test_backward_linear_layer_derivatives():
     # y = w*x + b: dw = x, db = 1, dx = w
     w = 1.7
-    net = Network([1, 1], [np.array([[w]])], [np.zeros(1)])
+    net = Network([1, 1], np.array([w, 0.0]))
     x = np.array([0.3])
     y, cache = net_forward(net, x)
-    grads, dx = net_backward(net, cache, np.ones(1))
-    assert grads.weights[0][0, 0] == pytest.approx(0.3)
-    assert grads.biases[0][0] == pytest.approx(1.0)
+    grad, dx = net_backward(net, cache, np.ones(1))
+    assert grad[0] == pytest.approx(0.3)
+    assert grad[1] == pytest.approx(1.0)
     assert dx[0] == pytest.approx(w)
 
 
 def test_backward_tanh_at_zero_passes_upstream():
     # tanh'(0) = 1, so with zero input the hidden unit is transparent
-    net = Network([1, 1, 1], [np.array([[2.0]]), np.array([[3.0]])],
-                  [np.zeros(1), np.zeros(1)])
+    net = Network([1, 1, 1], np.array([2.0, 0.0, 3.0, 0.0]))
     y, cache = net_forward(net, np.zeros(1))
     _, dx = net_backward(net, cache, np.ones(1))
     assert dx[0] == pytest.approx(2.0 * 3.0)
@@ -104,13 +123,19 @@ def test_backward_batch_accumulates():
     X = np.random.default_rng(1).normal(size=(6, 3))
     _, cache = net_forward(net, X)
     g_all, _ = net_backward(net, cache, np.ones((6, 1)))
-    acc = zero_grads(net)
+    acc = np.zeros(net.param_count())
     for i in range(6):
         _, c = net_forward(net, X[i])
-        g, _ = net_backward(net, c, np.ones(1))
-        acc.add_(g)
-    for a, b in zip(g_all.weights, acc.weights):
-        assert np.allclose(a, b, atol=1e-12)
+        acc += net_backward(net, c, np.ones(1))[0]
+    assert np.allclose(g_all, acc, atol=1e-12)
+
+
+def test_backward_writes_into_out():
+    net = net_init([3, 4, 1], seed=2)
+    _, cache = net_forward(net, np.ones(3))
+    out = np.full(net.param_count(), np.nan)
+    grad, _ = net_backward(net, cache, np.ones(1), out)
+    assert grad is out and np.all(np.isfinite(out))
 
 
 def test_backward_stale_cache_rejected():
@@ -123,64 +148,61 @@ def test_backward_stale_cache_rejected():
 
 def test_finite_diff_zero_net():
     net = net_init([3, 4, 1], seed=0)
-    for w in net.weights:
-        w[:] = 0.0
-    assert finite_diff_check(net, np.ones(3)) < 1e-6
+    net.flat[:] = 0.0
+    x = np.ones(3)
+    assert finite_diff_check(sum_objective(net, x), net.flat, sum_gradient(net, x)) < 1e-6
 
 
 def test_finite_diff_random_net():
     net = net_init([3, 8, 1], seed=5)
     x = np.random.default_rng(5).normal(size=3)
-    assert finite_diff_check(net, x) < 1e-5
+    assert finite_diff_check(sum_objective(net, x), net.flat, sum_gradient(net, x)) < 1e-5
 
 
 def test_finite_diff_detects_corrupted_gradient():
     net = net_init([3, 8, 1], seed=6)
     x = np.random.default_rng(6).normal(size=3)
-    y, cache = net_forward(net, x)
-    grads, _ = net_backward(net, cache, np.ones_like(y))
-    grads.weights[0][0, 0] *= 1.10  # +10% on one weight
-    assert finite_diff_check(net, x, grads=grads) >= 0.05
+    grad = sum_gradient(net, x)
+    grad[0] *= 1.10  # +10% on one weight
+    assert finite_diff_check(sum_objective(net, x), net.flat, grad) >= 0.05
+
+
+def adam_state(net):
+    return np.zeros(net.param_count()), np.zeros(net.param_count())
 
 
 def test_adam_zero_gradients_keep_parameters():
     net = net_init([2, 3, 1], seed=0)
-    before = net.copy()
-    opt = opt_init(net)
-    adaptive_update(net, zero_grads(net), opt, lr=0.1)
-    assert opt.t == 1
-    for a, b in zip(net.weights, before.weights):
-        assert np.array_equal(a, b)
+    before = net.flat.copy()
+    m, v = adam_state(net)
+    assert adaptive_update(net.flat, np.zeros_like(m), m, v, 0, lr=0.1) == 1
+    assert np.array_equal(net.flat, before)
 
 
 def test_adam_zero_lr_keeps_parameters():
     net = net_init([2, 3, 1], seed=0)
-    before = net.copy()
-    opt = opt_init(net)
-    grads = GradientSet([np.ones_like(w) for w in net.weights],
-                        [np.ones_like(b) for b in net.biases])
-    adaptive_update(net, grads, opt, lr=0.0)
-    for a, b in zip(net.weights, before.weights):
-        assert np.array_equal(a, b)
+    before = net.flat.copy()
+    m, v = adam_state(net)
+    adaptive_update(net.flat, np.ones_like(m), m, v, 0, lr=0.0)
+    assert np.array_equal(net.flat, before)
 
 
 def test_adam_first_step_magnitude_near_lr():
     # bias-corrected first step: delta = -lr * g / (|g| + eps'), |delta| ~ lr
-    net = Network([1, 1], [np.array([[0.0]])], [np.zeros(1)])
-    opt = opt_init(net)
+    net = Network([1, 1], np.zeros(2))
+    m, v = adam_state(net)
     g = 0.37
-    grads = GradientSet([np.array([[g]])], [np.zeros(1)])
-    adaptive_update(net, grads, opt, lr=0.01)
+    adaptive_update(net.flat, np.array([g, 0.0]), m, v, 0, lr=0.01)
     assert net.weights[0][0, 0] == pytest.approx(-0.01, rel=1e-5)
 
 
 def test_adam_rejects_nonfinite_gradient():
     net = net_init([2, 3, 1], seed=0)
-    opt = opt_init(net)
-    grads = zero_grads(net)
-    grads.weights[0][0, 0] = np.nan
+    m, v = adam_state(net)
+    grad = np.zeros_like(m)
+    grad[0] = np.nan
     with pytest.raises(NumericalError):
-        adaptive_update(net, grads, opt, lr=0.01)
+        adaptive_update(net.flat, grad, m, v, 0, lr=0.01)
 
 
 def test_copy_is_independent():

@@ -335,6 +335,15 @@ def test_nonstrict_mode_records_fault():
     assert result.min_gap <= 0
 
 
+def test_overlapping_follower_brakes_at_b_max():
+    world = make_world(no_spawns=True)
+    rear = make_vehicle(world, lane=0, station=100.0, v=10.0)
+    make_vehicle(world, lane=0, station=102.0, v=10.0)  # gap = -3 m
+    result = world.step(zero_policy, DT)
+    assert f"step 0: vehicle {rear.id} gap<=0" in result.faults
+    assert find(world, rear.id).a_lng == -world.cfg.idm.b_max
+
+
 def test_transitions_only_from_maneuvering_vehicles():
     cfg = WorldConfig(lane_changes_enabled=False)
     world = make_world(cfg, seed=5)
