@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .learner import (TrainConfig, Transition, batch_loss, make_rngs,
-                      run_training)
+from .learner import TrainConfig, batch_loss, make_rngs, run_training
 from .longitudinal import IdmParams
 from .nafq import (Action, NafParams, RlState, greedy_policy, q_gradients_batch,
                    q_value)
@@ -436,17 +435,17 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
 
     # loss gradients on a small random batch
     target = NafParams.init(rng, hidden=(8,))
-    batch = []
+    rows = []
     for _ in range(4):
         sa = rng.normal(size=6)
         sb = rng.normal(size=6)
-        batch.append(Transition(RlState(*sa), Action(float(rng.uniform(-0.5, 0.5))),
-                                RlState(*sb), float(-abs(rng.normal())),
-                                bool(rng.uniform() < 0.2)))
-    states = np.stack([tr.s.as_array() for tr in batch])
-    actions = np.array([tr.a.a_yaw for tr in batch])
+        rows.append((sa, rng.uniform(-0.5, 0.5), sb, -abs(rng.normal()),
+                     0.0 if rng.uniform() < 0.2 else 1.0))
+    # (states, actions, next_states, rewards, nonterminal)
+    batch = tuple(np.array(column) for column in zip(*rows))
+    states, actions = batch[0], batch[1]
     _, errors = batch_loss(batch, params, target, 0.95)
-    coeffs = (2.0 / len(batch)) * (-errors)  # errors are target - Q
+    coeffs = (2.0 / len(actions)) * (-errors)  # errors are target - Q
     loss_grad, _ = q_gradients_batch(states, actions, coeffs, params)
     loss_err = finite_diff_check(lambda: batch_loss(batch, params, target, 0.95)[0],
                                  params.flat, loss_grad, h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericalError
-from .nafq import (Action, NafParams, RlState, explore_action, fit_gradients,
+from .nafq import (STATE_DIM, Action, NafParams, fit_gradients,
                    greedy_actions_batch, q_values_batch)
 from .netcore import OptState, adaptive_update, net_forward
 from .simworld import EpisodeMetrics, World, WorldConfig
@@ -30,44 +30,43 @@ ADAM_SLICES = {"head": NafParams.MU_NET_NAMES, "q": ("m_net", "v_net")}
 STAGE_SLICES = {PRETRAIN: ("q",), JOINT: ("head", "q")}
 
 
-@dataclass
-class Transition:
-    s: RlState
-    a: Action
-    s_next: RlState
-    r: float
-    terminal: bool
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions; oldest entry evicted first."""
+    """Fixed-capacity ring of transitions, one row of preallocated arrays
+    each; the oldest row is overwritten first."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigurationError("capacity must be positive")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self.states = np.zeros((capacity, STATE_DIM))
+        self.actions = np.zeros(capacity)
+        self.next_states = np.zeros((capacity, STATE_DIM))
+        self.rewards = np.zeros(capacity)
+        self.nonterminal = np.zeros(capacity)  # 1.0, or 0.0 after a terminal step
+        self._size = 0
         self._cursor = 0
 
     def __len__(self):
-        return len(self._items)
+        return self._size
 
-    def push(self, transition: Transition):
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, s, a: float, s_next, r: float, terminal: bool):
+        i = self._cursor
+        self.states[i] = s
+        self.actions[i] = a
+        self.next_states[i] = s_next
+        self.rewards[i] = r
+        self.nonterminal[i] = 0.0 if terminal else 1.0
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n: int, rng) -> list[Transition]:
-        """n transitions drawn uniformly with replacement."""
-        if not self._items:
+    def sample(self, n: int, rng):
+        """n rows drawn uniformly with replacement, as the batch
+        (states, actions, next_states, rewards, nonterminal) of copies."""
+        if not self._size:
             raise ContractError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=n)
-        return [self._items[i] for i in idx]
-
-    def contents(self) -> list[Transition]:
-        return list(self._items)
+        idx = rng.integers(0, self._size, size=n)
+        return (self.states[idx], self.actions[idx], self.next_states[idx],
+                self.rewards[idx], self.nonterminal[idx])
 
 
 @dataclass
@@ -102,33 +101,18 @@ class TrainConfig:
         return self
 
 
-def td_target(tr: Transition, target_params: NafParams, gamma: float) -> float:
-    """r + gamma * max_a' Q(s', a'; frozen params); the max is V(s') exactly."""
-    if tr.terminal:
-        return tr.r
-    v_next, _ = net_forward(target_params.v_net, tr.s_next.as_array())
-    return tr.r + gamma * float(v_next[0])
-
-
-def _batch_arrays(batch: list[Transition]):
-    states = np.stack([tr.s.as_array() for tr in batch])
-    actions = np.array([tr.a.a_yaw for tr in batch])
-    next_states = np.stack([tr.s_next.as_array() for tr in batch])
-    rewards = np.array([tr.r for tr in batch])
-    nonterminal = np.array([0.0 if tr.terminal else 1.0 for tr in batch])
-    return states, actions, next_states, rewards, nonterminal
-
-
 def _targets(next_states, rewards, nonterminal, target_params, gamma):
     v_next, _ = net_forward(target_params.v_net, next_states)
     return rewards + gamma * nonterminal * v_next[:, 0]
 
 
 def batch_loss(batch, params: NafParams, target_params: NafParams, gamma: float):
-    """Mean squared TD error over the batch; also returns per-item errors."""
-    if not batch:
+    """Mean squared TD error over the batch
+    (states, actions, next_states, rewards, nonterminal); also returns
+    per-item errors."""
+    states, actions, next_states, rewards, nonterminal = batch
+    if not len(actions):
         raise ContractError("empty batch")
-    states, actions, next_states, rewards, nonterminal = _batch_arrays(batch)
     targets = _targets(next_states, rewards, nonterminal, target_params, gamma)
     q, _ = q_values_batch(states, actions, params)
     errors = targets - q
@@ -145,7 +129,7 @@ def train_step(params: NafParams, target_params: NafParams, batch,
     """
     if stage not in STAGE_SLICES:
         raise ConfigurationError(f"unknown stage {stage!r}")
-    states, actions, next_states, rewards, nonterminal = _batch_arrays(batch)
+    states, actions, next_states, rewards, nonterminal = batch
     targets = _targets(next_states, rewards, nonterminal, target_params, gamma)
 
     # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta
@@ -176,6 +160,14 @@ def make_rngs(seed: int) -> dict:
     names = ("init", "spawn", "trigger", "explore", "replay")
     seqs = np.random.SeedSequence(seed).spawn(len(names))
     return {name: np.random.default_rng(seq) for name, seq in zip(names, seqs)}
+
+
+def explore_actions(S: np.ndarray, params: NafParams, sigma: float, rng) -> np.ndarray:
+    """Greedy actions for the rows of `S` (n, 6) plus Gaussian noise of
+    standard deviation sigma, clipped to the action cap."""
+    mu = greedy_actions_batch(S, params)
+    noise = rng.normal(0.0, sigma, size=len(S))
+    return np.clip(mu + noise, -params.a_cap, params.a_cap)
 
 
 def sigma_at(cfg: TrainConfig, step: int) -> float:
@@ -233,16 +225,14 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
 
     def policy(states):
         S = np.stack([s.as_array() for s in states])
-        mu = greedy_actions_batch(S, params)
-        noise = rng_explore.normal(0.0, sigma, size=len(states))
-        a = np.clip(mu + noise, -params.a_cap, params.a_cap)
-        return [Action(float(x)) for x in a]
+        return [Action(float(x)) for x in explore_actions(S, params, sigma, rng_explore)]
 
     for step in range(1, train_cfg.total_steps + 1):
         sigma = sigma_at(train_cfg, step)
         result = world.step(policy, train_cfg.dt)
         for tr in result.transitions:
-            buffer.push(Transition(tr.s, tr.a, tr.s_next, tr.r, tr.terminal))
+            buffer.push(tr.s.as_array(), tr.a.a_yaw, tr.s_next.as_array(), tr.r,
+                        tr.terminal)
         episode_rows.extend(result.episodes)
 
         if len(buffer) >= train_cfg.batch_size:

@@ -51,13 +51,6 @@ class Action:
 
 
 @dataclass
-class DeviationFeatures:
-    delta_d: float    # lateral position deviation, m
-    delta_v: float    # lateral velocity deviation, m/s
-    delta_phi: float  # yaw-angle deviation, rad
-
-
-@dataclass
 class HeadValues:
     """Transformed head outputs, kept for logging and gradient reuse."""
 
@@ -129,18 +122,6 @@ class NafParams:
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
-
-
-def deviation_features(state: RlState) -> DeviationFeatures:
-    """Lateral deviation triple (position, velocity, yaw) from the state.
-
-    The lateral velocity deviation is v*sin(theta) (desired value zero).
-    """
-    return DeviationFeatures(
-        delta_d=state.delta_d_lat,
-        delta_v=state.v * np.sin(state.theta),
-        delta_phi=state.theta,
-    )
 
 
 class _Heads:
@@ -224,13 +205,6 @@ def q_values_batch(states: np.ndarray, actions: np.ndarray, params: NafParams):
 def greedy_action(state: RlState, params: NafParams) -> Action:
     """Exact argmax of Q over actions; equals mu because the curvature is negative."""
     return mu_action(state, params)[0]
-
-
-def explore_action(state: RlState, params: NafParams, sigma: float, rng) -> Action:
-    """Greedy action perturbed with clipped Gaussian noise."""
-    mu = mu_action(state, params)[0].a_yaw
-    a = mu + rng.normal(0.0, sigma)
-    return Action(float(np.clip(a, -params.a_cap, params.a_cap)))
 
 
 def greedy_actions_batch(states: np.ndarray, params: NafParams) -> np.ndarray:

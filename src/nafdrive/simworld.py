@@ -258,7 +258,7 @@ class World:
 
     # -- pipeline stages
 
-    def _spawn(self, dt: float):
+    def _spawn(self):
         tc = self.cfg.traffic
         for lane in range(self.cfg.road.lanes):
             if self.time < self._next_depart[lane]:
@@ -353,7 +353,7 @@ class World:
         cfg = self.cfg
         faults: list[str] = []
 
-        self._spawn(dt)
+        self._spawn()
         self._trigger()
         lane_lists = self._lane_lists()
         self._initiate_pending(lane_lists)

@@ -1,4 +1,4 @@
-"""Replay memory, TD targets, loss, freezing schedule, training loop."""
+"""Replay memory, TD targets, exploration, loss, freezing schedule, training loop."""
 
 import math
 
@@ -7,10 +7,11 @@ import pytest
 
 from nafdrive.errors import ConfigurationError, ContractError
 from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
-                              Transition, _batch_arrays, _targets, batch_loss,
-                              make_rngs, opt_states_init, run_training,
-                              sigma_at, sync_target, td_target, train_step)
-from nafdrive.nafq import Action, NafParams, RlState, fit_gradients, q_value
+                              _targets, batch_loss, explore_actions, make_rngs,
+                              opt_states_init, run_training, sigma_at,
+                              sync_target, train_step)
+from nafdrive.nafq import (A_CAP, Action, NafParams, RlState, fit_gradients,
+                           greedy_action, greedy_actions_batch, q_value)
 from nafdrive.simworld import WorldConfig
 
 
@@ -21,15 +22,37 @@ def const_params(v_bias: float) -> NafParams:
     return params
 
 
-def zero_state():
-    return RlState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+def random_transition(rng):
+    """One transition as the arguments of ReplayBuffer.push."""
+    s = rng.normal(size=6)
+    s_next = rng.normal(size=6)
+    return (s, float(rng.uniform(-0.5, 0.5)), s_next,
+            float(-abs(rng.normal())), bool(rng.uniform() < 0.1))
 
 
-def random_transition(rng) -> Transition:
-    s = RlState(*rng.normal(size=6))
-    s2 = RlState(*rng.normal(size=6))
-    return Transition(s, Action(float(rng.uniform(-0.5, 0.5))), s2,
-                      float(-abs(rng.normal())), bool(rng.uniform() < 0.1))
+def stack(transitions):
+    """Transitions stacked into a (states, actions, next_states, rewards,
+    nonterminal) batch."""
+    s, a, s_next, r, terminal = zip(*transitions)
+    return (np.stack(s), np.array(a), np.stack(s_next), np.array(r),
+            np.array([0.0 if t else 1.0 for t in terminal]))
+
+
+def terminal_batch(*rewards):
+    """Zero-state terminal transitions with action 0 and the given rewards."""
+    return stack([(np.zeros(6), 0.0, np.zeros(6), r, True) for r in rewards])
+
+
+def buffer_rows(buf):
+    n = len(buf)
+    return (buf.states[:n], buf.actions[:n], buf.next_states[:n],
+            buf.rewards[:n], buf.nonterminal[:n])
+
+
+def assert_batches_equal(a, b):
+    assert len(a) == len(b) == 5
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 # -- replay buffer
@@ -37,25 +60,27 @@ def random_transition(rng) -> Transition:
 
 def test_buffer_push_to_empty():
     buf = ReplayBuffer(4)
-    buf.push(random_transition(np.random.default_rng(0)))
+    buf.push(*random_transition(np.random.default_rng(0)))
     assert len(buf) == 1
 
 
 def test_buffer_insertion_order_preserved():
     buf = ReplayBuffer(5)
-    items = [random_transition(np.random.default_rng(i)) for i in range(4)]
+    items = [random_transition(np.random.default_rng(i))[:4] + (i % 2 == 0,)
+             for i in range(4)]
     for tr in items:
-        buf.push(tr)
-    assert buf.contents() == items
+        buf.push(*tr)
+    assert_batches_equal(buffer_rows(buf), stack(items))
 
 
 def test_buffer_ring_eviction():
     buf = ReplayBuffer(2)
     items = [random_transition(np.random.default_rng(i)) for i in range(3)]
     for tr in items:
-        buf.push(tr)
+        buf.push(*tr)
     assert len(buf) == 2
-    assert set(id(t) for t in buf.contents()) == {id(items[1]), id(items[2])}
+    # the third push overwrote the oldest row, row 0
+    assert_batches_equal(buffer_rows(buf), stack([items[2], items[1]]))
 
 
 def test_buffer_invalid_capacity():
@@ -71,64 +96,100 @@ def test_sample_empty_rejected():
 def test_sample_single_item_with_replacement():
     buf = ReplayBuffer(4)
     tr = random_transition(np.random.default_rng(0))
-    buf.push(tr)
+    buf.push(*tr)
     batch = buf.sample(3, np.random.default_rng(1))
-    assert batch == [tr, tr, tr]
+    assert_batches_equal(batch, stack([tr, tr, tr]))
 
 
 def test_sample_deterministic_given_seed():
     buf = ReplayBuffer(16)
     for i in range(10):
-        buf.push(random_transition(np.random.default_rng(i)))
+        buf.push(*random_transition(np.random.default_rng(i)))
     a = buf.sample(8, np.random.default_rng(5))
     b = buf.sample(8, np.random.default_rng(5))
-    assert a == b
+    assert_batches_equal(a, b)
 
 
 def test_sample_uniformity():
     buf = ReplayBuffer(10)
-    items = [random_transition(np.random.default_rng(i)) for i in range(10)]
-    for tr in items:
-        buf.push(tr)
+    for i in range(10):
+        s, a, s_next, _, terminal = random_transition(np.random.default_rng(i))
+        buf.push(s, a, s_next, float(i), terminal)  # the reward tags the row
     rng = np.random.default_rng(7)
-    counts = dict.fromkeys(range(10), 0)
     n = 100_000
-    index_of = {id(tr): i for i, tr in enumerate(items)}
-    for tr in buf.sample(n, rng):
-        counts[index_of[id(tr)]] += 1
+    counts = np.bincount(buf.sample(n, rng)[3].astype(int), minlength=10)
     expected = n / 10
     sigma = math.sqrt(n * 0.1 * 0.9)
-    for c in counts.values():
+    assert len(counts) == 10
+    for c in counts:
         assert abs(c - expected) <= 3 * sigma
+
+
+def test_sampled_batch_is_a_copy():
+    buf = ReplayBuffer(8)
+    for i in range(5):
+        buf.push(*random_transition(np.random.default_rng(i)))
+    before = [x.copy() for x in buffer_rows(buf)]
+    for x in buf.sample(4, np.random.default_rng(0)):
+        x[...] = 99.0
+    assert_batches_equal(buffer_rows(buf), before)
+
+
+def test_train_step_on_ring_sample_matches_stacked_states():
+    # a batch sampled from the ring trains exactly like the same rows
+    # stacked by hand from RlState objects
+    rng = np.random.default_rng(12)
+    params = NafParams.init(rng, hidden=(8,))
+    target = sync_target(params)
+    items = [random_transition(rng) for _ in range(40)]
+    buf = ReplayBuffer(32)
+    for tr in items:
+        buf.push(*tr)
+    ring_batch = buf.sample(16, np.random.default_rng(3))
+    idx = np.random.default_rng(3).integers(0, len(buf), size=16)
+    rows = [items[32 + i] if i < 8 else items[i] for i in idx]  # 8 rows evicted
+    by_hand = (np.stack([RlState(*tr[0]).as_array() for tr in rows]),
+               np.array([tr[1] for tr in rows]),
+               np.stack([RlState(*tr[2]).as_array() for tr in rows]),
+               np.array([tr[3] for tr in rows]),
+               np.array([0.0 if tr[4] else 1.0 for tr in rows]))
+    results = []
+    for batch in (ring_batch, by_hand):
+        p = params.copy()
+        opt = opt_states_init(p)
+        losses = [train_step(p, target, batch, stage, opt, 0.001, 0.95)
+                  for stage in (PRETRAIN, JOINT, JOINT)]
+        results.append((losses, p.flat))
+    assert results[0][0] == results[1][0]
+    assert np.array_equal(results[0][1], results[1][1])
 
 
 # -- TD target and loss
 
 
 def test_td_target_terminal_is_reward():
-    tr = Transition(zero_state(), Action(0.0), zero_state(), -0.5, True)
-    params = const_params(-2.0)
-    assert td_target(tr, params, 0.95) == -0.5
+    _, _, next_states, rewards, nonterminal = terminal_batch(-0.5)
+    targets = _targets(next_states, rewards, nonterminal, const_params(-2.0), 0.95)
+    assert targets[0] == -0.5
 
 
 def test_td_target_zero_gamma_is_reward():
-    tr = Transition(zero_state(), Action(0.0), zero_state(), -0.7, False)
-    params = const_params(-2.0)
-    assert td_target(tr, params, 0.0) == -0.7
+    targets = _targets(np.zeros((1, 6)), np.array([-0.7]), np.ones(1),
+                       const_params(-2.0), 0.0)
+    assert targets[0] == -0.7
 
 
 def test_td_target_hand_case():
     # r = -0.5, gamma = 0.95, V(s') = -2  ->  -2.4
-    tr = Transition(zero_state(), Action(0.0), zero_state(), -0.5, False)
-    params = const_params(-2.0)
-    assert td_target(tr, params, 0.95) == pytest.approx(-2.4, abs=1e-12)
+    targets = _targets(np.zeros((1, 6)), np.array([-0.5]), np.ones(1),
+                       const_params(-2.0), 0.95)
+    assert targets[0] == pytest.approx(-2.4, abs=1e-12)
 
 
 def test_batch_loss_zero_when_predictions_match():
     # zero-feature states give Q(s, 0) = V = 0; terminal targets r = 0
     params = const_params(0.0)
-    batch = [Transition(zero_state(), Action(0.0), zero_state(), 0.0, True)]
-    loss, errors = batch_loss(batch, params, params, 0.95)
+    loss, errors = batch_loss(terminal_batch(0.0), params, params, 0.95)
     assert loss == 0.0 and np.all(errors == 0.0)
 
 
@@ -136,24 +197,68 @@ def test_batch_loss_hand_case():
     # Q = 0 everywhere (a = 0, V = 0); terminal rewards 1 and 3 give
     # errors 1 and 3 -> loss (1 + 9)/2 = 5
     params = const_params(0.0)
-    batch = [Transition(zero_state(), Action(0.0), zero_state(), 1.0, True),
-             Transition(zero_state(), Action(0.0), zero_state(), 3.0, True)]
-    loss, errors = batch_loss(batch, params, params, 0.95)
+    loss, errors = batch_loss(terminal_batch(1.0, 3.0), params, params, 0.95)
     assert loss == pytest.approx(5.0, abs=1e-12)
     assert sorted(errors.tolist()) == [1.0, 3.0]
 
 
 def test_batch_loss_single_item_square():
     params = const_params(0.0)
-    batch = [Transition(zero_state(), Action(0.0), zero_state(), -0.3, True)]
-    loss, _ = batch_loss(batch, params, params, 0.95)
+    loss, _ = batch_loss(terminal_batch(-0.3), params, params, 0.95)
     assert loss == pytest.approx(0.09, abs=1e-15)
 
 
 def test_batch_loss_empty_rejected():
     params = NafParams.init(0, hidden=(8,))
+    empty = (np.zeros((0, 6)), np.zeros(0), np.zeros((0, 6)), np.zeros(0), np.zeros(0))
     with pytest.raises(ContractError):
-        batch_loss([], params, params, 0.95)
+        batch_loss(empty, params, params, 0.95)
+
+
+# -- exploration
+
+
+def random_state_rows(rng, n):
+    """n copies of one plausible state, as rows."""
+    s = [rng.uniform(0, 35), rng.normal(), rng.normal(0, 2), rng.normal(0, 0.1),
+         rng.normal(0, 0.1), rng.normal(0, 0.001)]
+    return np.tile(s, (n, 1))
+
+
+def test_explore_zero_sigma_is_greedy():
+    rng = np.random.default_rng(7)
+    params = NafParams.init(rng, hidden=(8,))
+    S = random_state_rows(rng, 1)
+    a = explore_actions(S, params, 0.0, np.random.default_rng(0))
+    assert a[0] == greedy_action(RlState(*S[0]), params).a_yaw
+    S = np.random.default_rng(1).normal(size=(20, 6))
+    a = explore_actions(S, params, 0.0, np.random.default_rng(0))
+    assert np.array_equal(a, greedy_actions_batch(S, params))
+
+
+def test_explore_mean_matches_mu():
+    rng = np.random.default_rng(8)
+    params = NafParams.init(rng, hidden=(8,))
+    S = random_state_rows(rng, 10_000)
+    mu = greedy_actions_batch(S[:1], params)[0]
+    noise_rng = np.random.default_rng(99)
+    one_row = [explore_actions(S[:1], params, 0.1, noise_rng)[0]
+               for _ in range(10_000)]
+    many_rows = explore_actions(S, params, 0.1, noise_rng)
+    for samples in (one_row, many_rows):
+        assert abs(np.mean(samples) - mu) < 0.003  # 3 sigma / sqrt(N)
+
+
+def test_explore_clipped_to_cap():
+    rng = np.random.default_rng(9)
+    params = NafParams.init(rng, hidden=(8,))
+    S = random_state_rows(rng, 1000)
+    noise_rng = np.random.default_rng(0)
+    one_row = [explore_actions(S[:1], params, 1.0, noise_rng)[0] for _ in range(1000)]
+    many_rows = explore_actions(S, params, 1.0, noise_rng)
+    for samples in (np.array(one_row), many_rows):
+        assert np.all(np.abs(samples) <= A_CAP)
+        assert np.any(np.abs(samples) == A_CAP)  # sigma 1 reaches the cap
 
 
 # -- train step
@@ -163,7 +268,7 @@ def _params_and_batch(seed=0, n=16):
     rng = np.random.default_rng(seed)
     params = NafParams.init(rng, hidden=(8,))
     target = sync_target(params)
-    batch = [random_transition(rng) for _ in range(n)]
+    batch = stack([random_transition(rng) for _ in range(n)])
     return params, target, batch
 
 
@@ -190,7 +295,7 @@ def test_head_adam_step_count_starts_at_joint_stage():
         train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
     head = params.span(*NafParams.MU_NET_NAMES)
     before = params.flat[head].copy()
-    states, actions, next_states, rewards, nonterminal = _batch_arrays(batch)
+    states, actions, next_states, rewards, nonterminal = batch
     targets = _targets(next_states, rewards, nonterminal, target, 0.95)
     _, grad = fit_gradients(states, actions, targets, params)
     g = np.abs(grad[head])

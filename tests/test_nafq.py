@@ -8,8 +8,7 @@ import pytest
 from nafdrive.errors import NumericalError
 from nafdrive.errors import ContractError
 from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, Action, NafParams,
-                           RlState, deviation_features, explore_action,
-                           greedy_action, m_value, mu_action,
+                           RlState, _Heads, greedy_action, m_value, mu_action,
                            q_gradients_batch, q_value, v_value)
 from nafdrive.netcore import finite_diff_check
 
@@ -41,21 +40,26 @@ def random_state(rng) -> RlState:
 # -- deviation features
 
 
+def features(state: RlState):
+    """The deviation triple (dd, dv, dphi) that feeds mu."""
+    h = _Heads(NafParams.init(0, hidden=(8,)), state.as_array())
+    return h.dd[0], h.dv[0], h.dphi[0]
+
+
 def test_features_zero_theta_gives_zero_lateral_velocity():
-    f = deviation_features(RlState(25.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-    assert f.delta_v == 0.0
+    _, dv, _ = features(RlState(25.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    assert dv == 0.0
 
 
 def test_features_zero_state():
-    f = deviation_features(RlState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    assert (f.delta_d, f.delta_v, f.delta_phi) == (0.0, 0.0, 0.0)
+    assert features(RlState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
 
 def test_features_hand_case():
-    f = deviation_features(RlState(20.0, 0.0, 1.875, 0.05, 0.0, 0.0))
-    assert f.delta_v == pytest.approx(20.0 * math.sin(0.05), abs=1e-12)
-    assert f.delta_v == pytest.approx(0.9996, abs=1e-4)
-    assert f.delta_d == 1.875 and f.delta_phi == 0.05
+    dd, dv, dphi = features(RlState(20.0, 0.0, 1.875, 0.05, 0.0, 0.0))
+    assert dv == pytest.approx(20.0 * math.sin(0.05), abs=1e-12)
+    assert dv == pytest.approx(0.9996, abs=1e-4)
+    assert dd == 1.875 and dphi == 0.05
 
 
 # -- greedy head
@@ -185,38 +189,6 @@ def test_grid_search_never_beats_mu():
     grid = np.arange(-A_CAP, A_CAP + 1e-9, 1e-3)
     qs = [q_value(s, Action(float(a)), params) for a in grid]
     assert max(qs) <= q_star + 1e-12
-
-
-# -- exploration
-
-
-def test_explore_zero_sigma_is_greedy():
-    rng = np.random.default_rng(7)
-    params = NafParams.init(rng, hidden=(8,))
-    s = random_state(rng)
-    a = explore_action(s, params, 0.0, np.random.default_rng(0))
-    assert a.a_yaw == greedy_action(s, params).a_yaw
-
-
-def test_explore_mean_matches_mu():
-    rng = np.random.default_rng(8)
-    params = NafParams.init(rng, hidden=(8,))
-    s = random_state(rng)
-    mu = greedy_action(s, params).a_yaw
-    noise_rng = np.random.default_rng(99)
-    samples = [explore_action(s, params, 0.1, noise_rng).a_yaw
-               for _ in range(10_000)]
-    assert abs(np.mean(samples) - mu) < 0.003  # 3 sigma / sqrt(N)
-
-
-def test_explore_clipped_to_cap():
-    rng = np.random.default_rng(9)
-    params = NafParams.init(rng, hidden=(8,))
-    s = random_state(rng)
-    noise_rng = np.random.default_rng(0)
-    for _ in range(1000):
-        a = explore_action(s, params, 1.0, noise_rng)
-        assert -A_CAP <= a.a_yaw <= A_CAP
 
 
 # -- gradients
