@@ -25,8 +25,7 @@ from .longitudinal import IdmParams
 from .nafq import (Action, NafParams, RlState, greedy_policy, q_gradients_batch,
                    q_value)
 from .netcore import OptState, finite_diff_check, net_backward, net_forward, net_init
-from .simworld import (RewardWeights, RoadSpec, TrafficConfig, World,
-                       WorldConfig, build_rl_state)
+from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
 CHECKPOINT_VERSION = 2
 

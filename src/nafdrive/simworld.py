@@ -16,10 +16,12 @@ lane_width, and leftward displacement / yaw are positive.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .errors import ContractError, SimulationFault
-from .gapcheck import MonitorDecision, gap_acceptable, monitor_step, past_commit_point
+from .gapcheck import MonitorDecision, gap_acceptable, monitor_step
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
 from .nafq import Action, RlState
 
@@ -141,19 +143,22 @@ class StepResult:
 
 def step_kinematics(state: VehicleState, a_lng_cmd: float, a_yaw_cmd: float,
                     dt: float, c: float) -> VehicleState:
-    """Semi-implicit kinematic update in a fixed order.
+    """Semi-implicit kinematic update in a fixed order, in place.
 
     omega, theta, v, station, d are updated in sequence; on curved
-    segments the relative heading is then corrected by -c*v*dt.
+    segments the relative heading is then corrected by -c*v*dt.  The
+    fields of `state` are overwritten and `state` itself is returned.
     """
     omega = state.omega + a_yaw_cmd * dt
     theta = state.theta + omega * dt
     v = max(0.0, state.v + a_lng_cmd * dt)
-    station = state.station + v * math.cos(theta) * dt
-    d = state.d + v * math.sin(theta) * dt
-    theta = theta - c * v * dt
-    return replace(state, omega=omega, theta=theta, v=v, station=station, d=d,
-                   a_lng=a_lng_cmd)
+    state.station += v * math.cos(theta) * dt
+    state.d += v * math.sin(theta) * dt
+    state.omega = omega
+    state.theta = theta - c * v * dt
+    state.v = v
+    state.a_lng = a_lng_cmd
+    return state
 
 
 def build_rl_state(road: RoadSpec, ego: VehicleState) -> RlState:
@@ -202,6 +207,9 @@ def completion_check(road: RoadSpec, ego: VehicleState) -> bool:
     )
 
 
+_STATION = attrgetter("station")
+
+
 class World:
     """Mutable simulation state plus the synchronous step pipeline."""
 
@@ -222,35 +230,57 @@ class World:
     # -- neighbor queries (occupancy lane = lane containing the lateral center)
 
     def _lane_lists(self):
-        lanes = [[] for _ in range(self.cfg.road.lanes)]
+        """Vehicles per occupancy lane, each list sorted by station.
+
+        The sort is stable, so vehicles at equal stations keep their order
+        in `self.vehicles`.
+        """
+        road = self.cfg.road
+        lanes = [[] for _ in range(road.lanes)]
         for veh in self.vehicles:
-            lanes[self.cfg.road.lane_of(veh.d)].append(veh)
+            lanes[road.lane_of(veh.d)].append(veh)
         for lst in lanes:
-            lst.sort(key=lambda v: v.station)
+            lst.sort(key=_STATION)
         return lanes
 
     def _leader(self, lane_lists, lane: int, station: float, exclude_id: int):
-        best = None
-        for veh in lane_lists[lane]:
-            if veh.id != exclude_id and veh.station > station:
-                best = veh
-                break
-        if best is None:
+        """(gap, v) of the nearest vehicle strictly ahead in `lane`, or None.
+
+        Contract: `station` and `exclude_id` are the ego's own station and
+        id, taken from the same world state as `lane_lists`.  The ego then
+        never stands strictly ahead of `station`, so the first vehicle past
+        it in the sorted lane is the leader.
+        """
+        lst = lane_lists[lane]
+        i = bisect_right(lst, station, key=_STATION)
+        if i == len(lst):
             return None
+        best = lst[i]
         gap = best.station - station - best.length
         if gap > self.cfg.sensing_range:
             return None
         return (gap, best.v)
 
     def _follower(self, lane_lists, lane: int, station: float, exclude_id: int):
-        best = None
-        for veh in lane_lists[lane]:
-            if veh.id != exclude_id and veh.station <= station:
-                best = veh
-            else:
+        """(gap, v) of the nearest vehicle at or behind `station` in `lane`, or None.
+
+        Contract as for `_leader`.  When the ego is in `lane`, a vehicle at
+        exactly the ego's station counts as behind it only if it sorts
+        before the ego, so the follower is the vehicle just before the ego
+        in the sorted lane.
+        """
+        lst = lane_lists[lane]
+        i = bisect_right(lst, station, key=_STATION)
+        # the ego, if present, is among the vehicles tied at `station`
+        k = i - 1
+        while k >= 0 and lst[k].station == station:
+            if lst[k].id == exclude_id:
+                i = k
                 break
-        if best is None:
+            k -= 1
+        if i == 0:
             return None
+        best = lst[i - 1]
         gap = station - best.station - best.length
         if gap > self.cfg.sensing_range:
             return None
@@ -355,48 +385,38 @@ class World:
 
         self._spawn()
         self._trigger()
+        # occupancy depends only on d, which _initiate_pending leaves alone,
+        # so this one index serves both it and the longitudinal decisions
         lane_lists = self._lane_lists()
         self._initiate_pending(lane_lists)
-        lane_lists = self._lane_lists()  # occupancy unchanged, but keep it fresh
 
-        # pre-step decisions from a shared snapshot; plans align with
-        # self.vehicles by position
-        plans = []  # (veh, a_lng, a_yaw, s, action)
+        # pre-step decisions from a shared snapshot, before any vehicle moves
+        keepers = []  # (veh, a_lng)
+        changers = []  # (veh, a_lng), aligned with rl_states
         rl_states: list[RlState] = []
-        rl_slots: list[int] = []
-        for i, veh in enumerate(self.vehicles):
+        for veh in self.vehicles:
             a_lng = self._longitudinal(lane_lists, veh, faults)
-            if veh.maneuver in ("changing", "aborting"):
-                s = build_rl_state(cfg.road, veh)
-                rl_states.append(s)
-                rl_slots.append(i)
-                plans.append((veh, a_lng, 0.0, s, None))
-            else:
-                plans.append((veh, a_lng, 0.0, None, None))
-        if rl_states:
-            actions = policy(rl_states)
-            for slot, action in zip(rl_slots, actions):
-                veh, a_lng, _, s, _ = plans[slot]
-                plans[slot] = (veh, a_lng, action.a_yaw, s, action)
-
-        # synchronous integration
-        for i, (veh, a_lng, a_yaw, s, action) in enumerate(plans):
             if veh.maneuver == "keeping":
-                new = step_kinematics(veh, a_lng, 0.0, dt, 0.0)
+                keepers.append((veh, a_lng))
             else:
-                c = cfg.road.curvature_at(veh.station)
-                new = step_kinematics(veh, a_lng, a_yaw, dt, c)
-            self.vehicles[i] = new
-            plans[i] = (new, a_lng, a_yaw, s, action)
+                changers.append((veh, a_lng))
+                rl_states.append(build_rl_state(cfg.road, veh))
+        actions = policy(rl_states) if rl_states else []
+
+        # synchronous integration: each update reads and writes only its
+        # own vehicle
+        for veh, a_lng in keepers:
+            step_kinematics(veh, a_lng, 0.0, dt, 0.0)
+        for (veh, a_lng), action in zip(changers, actions, strict=True):
+            c = cfg.road.curvature_at(veh.station)
+            step_kinematics(veh, a_lng, action.a_yaw, dt, c)
 
         # monitors, completion, rewards on the post-step world
         post_lists = self._lane_lists()
         transitions: list[StepTransition] = []
         episodes: list[EpisodeMetrics] = []
         retired: list[VehicleState] = []
-        for veh, _a_lng, _a_yaw, s, action in plans:
-            if veh.maneuver not in ("changing", "aborting"):
-                continue
+        for (veh, _a_lng), s, action in zip(changers, rl_states, actions):
             if veh.maneuver == "changing":
                 assessment = gap_acceptable(
                     veh.v,

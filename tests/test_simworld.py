@@ -349,3 +349,113 @@ def test_transitions_only_from_maneuvering_vehicles():
     world = make_world(cfg, seed=5)
     for _ in range(300):
         assert world.step(zero_policy, DT).transitions == []
+
+
+# -- neighbour lookups
+
+
+def _scan_leader(world, lane_lists, lane, station, exclude_id):
+    """Linear-scan reference for World._leader."""
+    best = None
+    for veh in lane_lists[lane]:
+        if veh.id != exclude_id and veh.station > station:
+            best = veh
+            break
+    if best is None:
+        return None
+    gap = best.station - station - best.length
+    if gap > world.cfg.sensing_range:
+        return None
+    return (gap, best.v)
+
+
+def _scan_follower(world, lane_lists, lane, station, exclude_id):
+    """Linear-scan reference for World._follower: it stops at the ego."""
+    best = None
+    for veh in lane_lists[lane]:
+        if veh.id != exclude_id and veh.station <= station:
+            best = veh
+        else:
+            break
+    if best is None:
+        return None
+    gap = station - best.station - best.length
+    if gap > world.cfg.sensing_range:
+        return None
+    return (gap, best.v)
+
+
+def test_neighbour_lookups_match_linear_scan():
+    rng = np.random.default_rng(12)
+    world = make_world(no_spawns=True)
+    lanes = world.cfg.road.lanes
+    ties = beyond_range = empty = 0
+    for _ in range(200):
+        world.vehicles = []
+        for lane in range(lanes):
+            for _ in range(rng.integers(0, 21) if rng.uniform() > 0.15 else 0):
+                # a coarse grid forces exact ties; the uniform draws leave
+                # gaps beyond the sensing range on a 1 km road
+                station = (rng.integers(0, 40) * 25.0 if rng.uniform() < 0.5
+                           else rng.uniform(0.0, 1000.0))
+                make_vehicle(world, lane=lane, station=station,
+                             v=rng.uniform(5.0, 30.0))
+        world.vehicles = [world.vehicles[i]
+                          for i in rng.permutation(len(world.vehicles))]
+        lane_lists = world._lane_lists()
+        empty += sum(not lst for lst in lane_lists)
+        for ego in world.vehicles:
+            ego_lane = world.cfg.road.lane_of(ego.d)
+            ties += sum(v.station == ego.station and v is not ego
+                        for v in lane_lists[ego_lane])
+            for lane in range(lanes):
+                args = (lane_lists, lane, ego.station, ego.id)
+                leader = world._leader(*args)
+                follower = world._follower(*args)
+                assert leader == _scan_leader(world, *args)
+                assert follower == _scan_follower(world, *args)
+                beyond_range += leader is None and any(
+                    v.station > ego.station for v in lane_lists[lane])
+    assert ties and beyond_range and empty
+
+
+# -- vehicle-order independence
+
+
+def test_step_independent_of_vehicle_order():
+    specs = [
+        dict(lane=0, station=100.0, v=20.0),
+        dict(lane=0, station=130.0, v=15.0),
+        dict(lane=1, station=120.0, v=18.0, target=2, maneuver="changing", d=6.2),
+        dict(lane=1, station=160.0, v=17.0),
+        dict(lane=1, station=200.0, v=16.0, target=0, maneuver="changing", d=5.0),
+        dict(lane=2, station=110.0, v=22.0),
+        dict(lane=2, station=150.0, v=19.0),
+        dict(lane=2, station=190.0, v=21.0),
+    ]
+
+    def policy(states):
+        return [Action(-0.1 * s.delta_d_lat) for s in states]
+
+    def run(reverse):
+        world = make_world(no_spawns=True)
+        for spec in specs:
+            make_vehicle(world, **spec)
+        for veh in world.vehicles:
+            veh.trigger_drawn = True  # no trigger draw depends on order
+        if reverse:
+            world.vehicles.reverse()
+        ticks = []
+        for _ in range(20):
+            res = world.step(policy, DT)
+            ticks.append(({t.vehicle_id: t for t in res.transitions},
+                          {ep.vehicle_id: ep for ep in res.episodes},
+                          res.min_gap, sorted(res.faults)))
+        state = {v.id: (v.station, v.d, v.v, v.a_lng, v.theta, v.omega,
+                        v.maneuver, v.target_lane) for v in world.vehicles}
+        return state, ticks
+
+    forward, backward = run(False), run(True)
+    assert len(forward[0]) == len(specs)
+    assert sum(len(tick[0]) for tick in forward[1]) > 20
+    assert forward == backward
