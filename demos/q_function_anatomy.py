@@ -10,8 +10,8 @@ Run:  python3 demos/q_function_anatomy.py
 
 import numpy as np
 
-from nafdrive.nafq import (Action, NafParams, RlState, greedy_action,
-                           m_value, mu_action, q_value, v_value)
+from nafdrive.nafq import (NafParams, RlState, greedy_action, m_value,
+                           mu_action, q_value, v_value)
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
                     c=0.0)
         a, h = mu_action(s, params)
         print(f"  {dd:8.3f} {h.a_max:8.4f} {h.beta_sen:8.4f} "
-              f"{h.t_trns:8.4f} {h.a_tmp:9.5f} {a.a_yaw:13.6f}")
+              f"{h.t_trns:8.4f} {h.a_tmp:9.5f} {a:13.6f}")
 
     s = RlState(v=25.0, a_lng=0.0, delta_d_lat=1.2, theta=0.03, omega=0.01,
                 c=0.0)
@@ -34,14 +34,14 @@ def main():
     print(f"  value V(s)       = {v_value(s, params):+.5f}")
     print(f"  Q(s, mu(s))      = {q_value(s, mu, params):+.5f}  (equals V)")
     for off in (0.1, 0.3):
-        q = q_value(s, Action(mu.a_yaw + off), params)
+        q = q_value(s, mu + off, params)
         print(f"  Q(s, mu + {off:.1f})   = {q:+.5f}")
 
     grid = np.arange(-0.6, 0.6001, 1e-3)
-    qs = [q_value(s, Action(float(a)), params) for a in grid]
+    qs = [q_value(s, float(a), params) for a in grid]
     best = grid[int(np.argmax(qs))]
     print(f"\n  grid argmax over [-0.6, 0.6]: {best:+.3f}  "
-          f"vs analytic mu: {mu.a_yaw:+.6f}")
+          f"vs analytic mu: {mu:+.6f}")
 
 
 if __name__ == "__main__":

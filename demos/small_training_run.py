@@ -45,8 +45,8 @@ def main():
     a0, h0 = mu_action(s, initial)
     a1, h1 = mu_action(s, result.params)
     print("\ngreedy head at a representative state (half-lane deviation):")
-    print(f"  initial: a_max {h0.a_max:.4f}  mu {a0.a_yaw:+.5f}")
-    print(f"  trained: a_max {h1.a_max:.4f}  mu {a1.a_yaw:+.5f}")
+    print(f"  initial: a_max {h0.a_max:.4f}  mu {a0:+.5f}")
+    print(f"  trained: a_max {h1.a_max:.4f}  mu {a1:+.5f}")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,7 @@ Library layout:
 from .gapcheck import GapAssessment, MonitorDecision, gap_acceptable, required_gap
 from .learner import ReplayBuffer, TrainConfig, run_training
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
-from .nafq import (Action, NafParams, RlState, greedy_action, m_value, mu_action,
-                   q_value, v_value)
+from .nafq import NafParams, RlState, greedy_action, m_value, mu_action, q_value, v_value
 from .netcore import Network, adaptive_update, finite_diff_check, net_backward, \
     net_forward, net_init
 from .simworld import (EpisodeMetrics, RewardWeights, RoadSpec, TrafficConfig,

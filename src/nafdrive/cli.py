@@ -22,8 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .learner import TrainConfig, batch_loss, make_rngs, run_training
 from .longitudinal import IdmParams
-from .nafq import (Action, NafParams, RlState, greedy_policy, q_gradients_batch,
-                   q_value)
+from .nafq import NafParams, RlState, greedy_policy, q_gradients_batch, q_value
 from .netcore import OptState, finite_diff_check, net_backward, net_forward, net_init
 from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
@@ -376,7 +375,7 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
                     break
             k = len(rows)
             d = tr.s_next.delta_d_lat + world.cfg.road.center(last_target)
-            rows.append([k, k * dt, tr.a.a_yaw, tr.s_next.omega,
+            rows.append([k, k * dt, tr.a_yaw, tr.s_next.omega,
                          tr.s_next.theta, d, tr.s_next.delta_d_lat,
                          tr.r, tr.r_acce, tr.r_rate, tr.r_dev])
         # transition.terminal covers completion only; capped/exited
@@ -425,11 +424,11 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     state_arr = rng.normal(size=6)
     state_arr[0] = abs(state_arr[0]) * 10  # plausible speed
     state = RlState(*state_arr)
-    action = Action(float(rng.uniform(-0.5, 0.5)))
-    grad, _ = q_gradients_batch(state_arr[None, :], [action.a_yaw], [1.0], params)
+    a_yaw = float(rng.uniform(-0.5, 0.5))
+    grad, _ = q_gradients_batch(state, [a_yaw], [1.0], params)
     if inject_fault:
         grad[params.span("m_net").start] *= 1.10  # first weight of m_net
-    q_err = finite_diff_check(lambda: q_value(state, action, params),
+    q_err = finite_diff_check(lambda: q_value(state, a_yaw, params),
                               params.flat, grad, h)
 
     # loss gradients on a small random batch

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericalError
-from .nafq import (STATE_DIM, Action, NafParams, fit_gradients,
-                   greedy_actions_batch, q_values_batch)
+from .nafq import (STATE_DIM, NafParams, fit_gradients, greedy_actions_batch,
+                   q_values_batch)
 from .netcore import OptState, adaptive_update, net_forward
 from .simworld import EpisodeMetrics, World, WorldConfig
 
@@ -162,9 +162,10 @@ def make_rngs(seed: int) -> dict:
     return {name: np.random.default_rng(seq) for name, seq in zip(names, seqs)}
 
 
-def explore_actions(S: np.ndarray, params: NafParams, sigma: float, rng) -> np.ndarray:
-    """Greedy actions for the rows of `S` (n, 6) plus Gaussian noise of
-    standard deviation sigma, clipped to the action cap."""
+def explore_actions(S, params: NafParams, sigma: float, rng) -> np.ndarray:
+    """Greedy actions for the states `S` (a list of states or an (n, 6)
+    array) plus Gaussian noise of standard deviation sigma, clipped to the
+    action cap."""
     mu = greedy_actions_batch(S, params)
     noise = rng.normal(0.0, sigma, size=len(S))
     return np.clip(mu + noise, -params.a_cap, params.a_cap)
@@ -181,12 +182,8 @@ def sigma_at(cfg: TrainConfig, step: int) -> float:
 @dataclass
 class TrainResult:
     params: NafParams
-    target_params: NafParams
-    opt_states: OptState
-    rngs: dict
     loss_rows: list[tuple[int, float | None]]
     episode_rows: list[EpisodeMetrics]
-    checkpoint_steps: list[int]
     faults: list[str]
 
 
@@ -217,22 +214,19 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
 
     loss_rows = [] if loss_rows is None else loss_rows
     episode_rows = [] if episode_rows is None else episode_rows
-    checkpoint_steps: list[int] = []
     schedule = set(train_cfg.checkpoint_schedule)
     last_loss: float | None = None
 
     rng_explore = rngs["explore"]
 
     def policy(states):
-        S = np.stack([s.as_array() for s in states])
-        return [Action(float(x)) for x in explore_actions(S, params, sigma, rng_explore)]
+        return explore_actions(states, params, sigma, rng_explore)
 
     for step in range(1, train_cfg.total_steps + 1):
         sigma = sigma_at(train_cfg, step)
         result = world.step(policy, train_cfg.dt)
         for tr in result.transitions:
-            buffer.push(tr.s.as_array(), tr.a.a_yaw, tr.s_next.as_array(), tr.r,
-                        tr.terminal)
+            buffer.push(tr.s, tr.a_yaw, tr.s_next, tr.r, tr.terminal)
         episode_rows.extend(result.episodes)
 
         if len(buffer) >= train_cfg.batch_size:
@@ -245,16 +239,12 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
             loss_rows.append((step, last_loss))
         if step % train_cfg.target_sync_every == 0:
             target_params = sync_target(params)
-        if step in schedule:
-            checkpoint_steps.append(step)
-            if checkpoint_hook is not None:
-                checkpoint_hook(step, {
-                    "params": params,
-                    "target_params": target_params,
-                    "opt_states": opt_states,
-                    "rngs": rngs,
-                })
+        if step in schedule and checkpoint_hook is not None:
+            checkpoint_hook(step, {
+                "params": params,
+                "target_params": target_params,
+                "opt_states": opt_states,
+                "rngs": rngs,
+            })
 
-    return TrainResult(params, target_params, opt_states, rngs,
-                       loss_rows, episode_rows, checkpoint_steps,
-                       list(world.fault_log))
+    return TrainResult(params, loss_rows, episode_rows, list(world.fault_log))

@@ -10,6 +10,7 @@ deviation features of the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit as _sigmoid
@@ -28,9 +29,8 @@ T_MAX = 10.0
 M_EPS = 1e-3
 
 
-@dataclass
-class RlState:
-    """Observation fed to the Q-function."""
+class RlState(NamedTuple):
+    """Observation fed to the Q-function; a state is one row of a batch."""
 
     v: float            # speed, m/s
     a_lng: float        # longitudinal acceleration, m/s^2
@@ -38,16 +38,6 @@ class RlState:
     theta: float        # yaw angle relative to road tangent, rad
     omega: float        # yaw rate, rad/s
     c: float            # road curvature at current station, 1/m
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.v, self.a_lng, self.delta_d_lat, self.theta, self.omega, self.c]
-        )
-
-
-@dataclass
-class Action:
-    a_yaw: float  # yaw acceleration, rad/s^2
 
 
 @dataclass
@@ -126,11 +116,13 @@ def _softplus(x):
 
 class _Heads:
     """Batched evaluation of all five networks with everything the gradient
-    chain needs (raw outputs, caches, transformed values, mu)."""
+    chain needs (raw outputs, caches, transformed values, mu).
 
-    def __init__(self, params: NafParams, states: np.ndarray):
-        S = np.atleast_2d(states)
-        self.states = S
+    `states` is one state, a list of states or an (n, 6) array.
+    """
+
+    def __init__(self, params: NafParams, states):
+        S = np.atleast_2d(np.asarray(states, dtype=float))
         self.o = {}
         self.caches = {}
         for name, net in params.nets().items():
@@ -165,59 +157,58 @@ class _Heads:
 
 
 def mu_action(state: RlState, params: NafParams):
-    """Greedy head: returns the structured action and its head values."""
-    h = _Heads(params, state.as_array())
-    action = Action(float(h.mu[0]))
+    """Greedy head: returns the yaw acceleration mu(s) and the head values."""
+    h = _Heads(params, state)
     heads = HeadValues(
         a_max=float(h.a_max[0]),
         beta_sen=float(h.beta[0]),
         t_trns=float(h.t_trns[0]),
         a_tmp=float(h.a_tmp[0]),
     )
-    return action, heads
+    return float(h.mu[0]), heads
 
 
 def m_value(state: RlState, params: NafParams) -> float:
     """Strictly negative curvature of the quadratic advantage."""
-    h = _Heads(params, state.as_array())
+    h = _Heads(params, state)
     return float(h.m[0])
 
 
 def v_value(state: RlState, params: NafParams) -> float:
     """State value: linear output of the value network."""
-    y, _ = net_forward(params.v_net, state.as_array())
+    y, _ = net_forward(params.v_net, state)
     return float(y[0])
 
 
-def q_value(state: RlState, action: Action, params: NafParams) -> float:
-    h = _Heads(params, state.as_array())
-    diff = h.mu[0] - action.a_yaw
+def q_value(state: RlState, a_yaw: float, params: NafParams) -> float:
+    h = _Heads(params, state)
+    diff = h.mu[0] - a_yaw
     return float(h.m[0] * diff * diff + h.v[0])
 
 
-def q_values_batch(states: np.ndarray, actions: np.ndarray, params: NafParams):
-    """Vectorized Q over rows of `states` (n, 6) and `actions` (n,)."""
+def q_values_batch(states, actions: np.ndarray, params: NafParams):
+    """Vectorized Q over the rows of `states` (n, 6) and `actions` (n,)."""
     h = _Heads(params, states)
     diff = h.mu - np.asarray(actions, dtype=float)
     return h.m * diff * diff + h.v, h
 
 
-def greedy_action(state: RlState, params: NafParams) -> Action:
+def greedy_action(state: RlState, params: NafParams) -> float:
     """Exact argmax of Q over actions; equals mu because the curvature is negative."""
     return mu_action(state, params)[0]
 
 
-def greedy_actions_batch(states: np.ndarray, params: NafParams) -> np.ndarray:
+def greedy_actions_batch(states, params: NafParams) -> np.ndarray:
     """mu(s) for every row of `states` (n, 6)."""
     return _Heads(params, states).mu
 
 
 def greedy_policy(params: NafParams):
-    """Batched policy callable for the simulator: greedy action per state."""
+    """Batched policy callable for the simulator: the greedy yaw
+    acceleration of each state."""
 
-    def policy(states: list[RlState]) -> list[Action]:
-        S = np.stack([s.as_array() for s in states])
-        return [Action(float(a)) for a in greedy_actions_batch(S, params)]
+    def policy(states: list[RlState]) -> np.ndarray:
+        return greedy_actions_batch(states, params)
 
     return policy
 
@@ -271,10 +262,9 @@ def q_gradients_batch(states, actions, coeffs, params: NafParams):
 
     Returns (grad, q_values); grad is laid out like `params.flat`.
     """
-    S = np.atleast_2d(np.asarray(states, dtype=float))
     a = np.asarray(actions, dtype=float).reshape(-1)
     w = np.asarray(coeffs, dtype=float).reshape(-1)
-    h = _Heads(params, S)
+    h = _Heads(params, states)
     q, upstream = _q_upstreams(h, params, a)
     return _weighted_backward(h, params, upstream, w), q
 
@@ -286,10 +276,9 @@ def fit_gradients(states, actions, targets, params: NafParams):
     head networks are evaluated once and reused for the backward sweep.
     The gradient is laid out like `params.flat`.
     """
-    S = np.atleast_2d(np.asarray(states, dtype=float))
     a = np.asarray(actions, dtype=float).reshape(-1)
     t = np.asarray(targets, dtype=float).reshape(-1)
-    h = _Heads(params, S)
+    h = _Heads(params, states)
     q, upstream = _q_upstreams(h, params, a)
     errors = q - t
     loss = float(np.mean(errors**2))

@@ -23,7 +23,7 @@ from operator import attrgetter
 from .errors import ContractError, SimulationFault
 from .gapcheck import MonitorDecision, gap_acceptable, monitor_step
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
-from .nafq import Action, RlState
+from .nafq import RlState
 
 
 @dataclass
@@ -90,6 +90,7 @@ class VehicleState:
     original_lane: int = -1
     pending_target: int | None = None
     idm: IdmParams | None = None  # cached params with this vehicle's v0
+    occupancy: int = -1  # lane holding d, as of the last lane index
     trigger_drawn: bool = False
     episode: "EpisodeMetrics | None" = None
     episode_steps: int = 0
@@ -124,7 +125,7 @@ class WorldConfig:
 class StepTransition:
     vehicle_id: int
     s: RlState
-    a: Action
+    a_yaw: float  # the applied yaw acceleration, rad/s^2
     s_next: RlState
     r: float
     r_acce: float
@@ -173,9 +174,10 @@ def build_rl_state(road: RoadSpec, ego: VehicleState) -> RlState:
     )
 
 
-def immediate_reward(action: Action, next_state: RlState, w: RewardWeights):
-    """Penalty triple evaluated on the post-step state with the applied action."""
-    r_acce = -w.w_acce * abs(action.a_yaw)
+def immediate_reward(a_yaw: float, next_state: RlState, w: RewardWeights):
+    """Penalty triple evaluated on the post-step state with the applied yaw
+    acceleration."""
+    r_acce = -w.w_acce * abs(a_yaw)
     r_rate = -w.w_rate * abs(next_state.omega)
     r_dev = -w.w_dev * abs(next_state.delta_d_lat) / w.d_avg
     return r_acce + r_rate + r_dev, r_acce, r_rate, r_dev
@@ -230,7 +232,8 @@ class World:
     # -- neighbor queries (occupancy lane = lane containing the lateral center)
 
     def _lane_lists(self):
-        """Vehicles per occupancy lane, each list sorted by station.
+        """Vehicles per occupancy lane, each list sorted by station; each
+        vehicle's occupancy lane is also recorded in `veh.occupancy`.
 
         The sort is stable, so vehicles at equal stations keep their order
         in `self.vehicles`.
@@ -238,7 +241,8 @@ class World:
         road = self.cfg.road
         lanes = [[] for _ in range(road.lanes)]
         for veh in self.vehicles:
-            lanes[road.lane_of(veh.d)].append(veh)
+            veh.occupancy = lane = road.lane_of(veh.d)
+            lanes[lane].append(veh)
         for lst in lanes:
             lst.sort(key=_STATION)
         return lanes
@@ -350,7 +354,7 @@ class World:
 
     def _longitudinal(self, lane_lists, veh: VehicleState, faults: list[str]) -> float:
         p = veh.idm or replace(self.cfg.idm, v0=veh.v0)
-        occ = self.cfg.road.lane_of(veh.d)
+        occ = veh.occupancy  # d has not changed since `lane_lists` was built
         try:
             if veh.maneuver == "keeping":
                 leader = self._leader(lane_lists, occ, veh.station, veh.id)
@@ -374,11 +378,11 @@ class World:
         """Advance the world one tick.
 
         `policy` maps a list of RlStates (one per maneuvering vehicle, in
-        vehicle order) to a list of Actions, so a network-backed policy can
-        evaluate them in one batch.  All accelerations are computed from
-        the pre-step snapshot, then all vehicles are integrated, then
-        monitors/completions/rewards run on the post-step state, so the
-        result is independent of vehicle order.
+        vehicle order) to as many yaw accelerations, so a network-backed
+        policy can evaluate them in one batch.  All accelerations are
+        computed from the pre-step snapshot, then all vehicles are
+        integrated, then monitors/completions/rewards run on the post-step
+        state, so the result is independent of vehicle order.
         """
         cfg = self.cfg
         faults: list[str] = []
@@ -401,22 +405,24 @@ class World:
             else:
                 changers.append((veh, a_lng))
                 rl_states.append(build_rl_state(cfg.road, veh))
-        actions = policy(rl_states) if rl_states else []
+        # converted once here, so every vehicle field, reward and metric
+        # stays a plain float whatever array type the policy returns
+        a_yaws = [float(a) for a in policy(rl_states)] if rl_states else []
 
         # synchronous integration: each update reads and writes only its
         # own vehicle
         for veh, a_lng in keepers:
             step_kinematics(veh, a_lng, 0.0, dt, 0.0)
-        for (veh, a_lng), action in zip(changers, actions, strict=True):
+        for (veh, a_lng), a_yaw in zip(changers, a_yaws, strict=True):
             c = cfg.road.curvature_at(veh.station)
-            step_kinematics(veh, a_lng, action.a_yaw, dt, c)
+            step_kinematics(veh, a_lng, a_yaw, dt, c)
 
         # monitors, completion, rewards on the post-step world
         post_lists = self._lane_lists()
         transitions: list[StepTransition] = []
         episodes: list[EpisodeMetrics] = []
         retired: list[VehicleState] = []
-        for (veh, _a_lng), s, action in zip(changers, rl_states, actions):
+        for (veh, _a_lng), s, a_yaw in zip(changers, rl_states, a_yaws):
             if veh.maneuver == "changing":
                 assessment = gap_acceptable(
                     veh.v,
@@ -437,12 +443,12 @@ class World:
             closed = done or capped or exited
 
             s_next = build_rl_state(cfg.road, veh)
-            r, r_acce, r_rate, r_dev = immediate_reward(action, s_next, cfg.rewards)
+            r, r_acce, r_rate, r_dev = immediate_reward(a_yaw, s_next, cfg.rewards)
             accumulate_metrics(veh.episode, r_acce, r_rate, r_dev)
             # The replay terminal flag means "no future return", which is
             # only true of genuine completion; the step cap and the road
             # exit are truncations, so the learner bootstraps through them.
-            transitions.append(StepTransition(veh.id, s, action, s_next,
+            transitions.append(StepTransition(veh.id, s, a_yaw, s_next,
                                               r, r_acce, r_rate, r_dev, done))
             if closed:
                 ep = veh.episode

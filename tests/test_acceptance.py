@@ -16,8 +16,8 @@ from nafdrive.cli import (checkgrad_suite, default_config_dict, main,
 from nafdrive.learner import (TrainConfig, make_rngs, run_training,
                               sync_target)
 from nafdrive.longitudinal import IdmParams, idm_accel
-from nafdrive.nafq import (A_CAP, Action, NafParams, RlState, greedy_action,
-                           q_value, q_values_batch, v_value)
+from nafdrive.nafq import (A_CAP, NafParams, RlState, greedy_action, q_value,
+                           q_values_batch, v_value)
 from nafdrive.simworld import (RewardWeights, RoadSpec, World, WorldConfig,
                                immediate_reward)
 
@@ -60,7 +60,7 @@ def test_criterion_2_analytic_argmax():
         mu = greedy_action(s, params)
         q_star = q_value(s, mu, params)
         worst_vertex = max(worst_vertex, abs(q_star - v_value(s, params)))
-        states = np.tile(s.as_array(), (len(grid), 1))
+        states = np.tile(s, (len(grid), 1))
         qs, _ = q_values_batch(states, grid, params)
         worst_gap = max(worst_gap, float(qs.max()) - q_star)
     report(2, "analytic argmax", worst_gap <= 0.0 and worst_vertex <= 1e-12,
@@ -88,7 +88,7 @@ def test_criterion_3_idm_oracle_and_monotonicity():
 
 
 def test_criterion_4_reward_oracle():
-    r, *_ = immediate_reward(Action(0.1), RlState(20, 0, 1.875, 0.0, 0.05, 0),
+    r, *_ = immediate_reward(0.1, RlState(20, 0, 1.875, 0.0, 0.05, 0),
                              RewardWeights())
     composite_ok = (r == -0.275)
     result = run_training(
@@ -111,7 +111,7 @@ def test_criterion_5_target_network_semantics():
     rng = np.random.default_rng(3)
     sync_ok = all(
         q_value(s, a, params) == q_value(s, a, target)
-        for s, a in ((random_state(rng), Action(float(rng.uniform(-0.6, 0.6))))
+        for s, a in ((random_state(rng), float(rng.uniform(-0.6, 0.6)))
                      for _ in range(1000)))
 
     # an entire pretrain-stage run leaves the greedy heads bit-identical

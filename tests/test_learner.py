@@ -10,8 +10,8 @@ from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
                               _targets, batch_loss, explore_actions, make_rngs,
                               opt_states_init, run_training, sigma_at,
                               sync_target, train_step)
-from nafdrive.nafq import (A_CAP, Action, NafParams, RlState, fit_gradients,
-                           greedy_action, greedy_actions_batch, q_value)
+from nafdrive.nafq import (A_CAP, NafParams, RlState, fit_gradients, greedy_action,
+                           greedy_actions_batch, q_value)
 from nafdrive.simworld import WorldConfig
 
 
@@ -148,9 +148,9 @@ def test_train_step_on_ring_sample_matches_stacked_states():
     ring_batch = buf.sample(16, np.random.default_rng(3))
     idx = np.random.default_rng(3).integers(0, len(buf), size=16)
     rows = [items[32 + i] if i < 8 else items[i] for i in idx]  # 8 rows evicted
-    by_hand = (np.stack([RlState(*tr[0]).as_array() for tr in rows]),
+    by_hand = (np.stack([RlState(*tr[0]) for tr in rows]),
                np.array([tr[1] for tr in rows]),
-               np.stack([RlState(*tr[2]).as_array() for tr in rows]),
+               np.stack([RlState(*tr[2]) for tr in rows]),
                np.array([tr[3] for tr in rows]),
                np.array([0.0 if tr[4] else 1.0 for tr in rows]))
     results = []
@@ -230,7 +230,7 @@ def test_explore_zero_sigma_is_greedy():
     params = NafParams.init(rng, hidden=(8,))
     S = random_state_rows(rng, 1)
     a = explore_actions(S, params, 0.0, np.random.default_rng(0))
-    assert a[0] == greedy_action(RlState(*S[0]), params).a_yaw
+    assert a[0] == greedy_action(RlState(*S[0]), params)
     S = np.random.default_rng(1).normal(size=(20, 6))
     a = explore_actions(S, params, 0.0, np.random.default_rng(0))
     assert np.array_equal(a, greedy_actions_batch(S, params))
@@ -341,7 +341,7 @@ def test_sync_target_bit_exact_and_independent():
     rng = np.random.default_rng(0)
     for _ in range(100):
         s = RlState(*rng.normal(size=6))
-        a = Action(float(rng.uniform(-0.5, 0.5)))
+        a = float(rng.uniform(-0.5, 0.5))
         assert q_value(s, a, params) == q_value(s, a, target)
     params.v_net.biases[-1][0] += 1.0
     assert target.v_net.biases[-1][0] != params.v_net.biases[-1][0]

@@ -7,8 +7,8 @@ import pytest
 
 from nafdrive.errors import NumericalError
 from nafdrive.errors import ContractError
-from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, Action, NafParams,
-                           RlState, _Heads, greedy_action, m_value, mu_action,
+from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, NafParams, RlState,
+                           _Heads, greedy_action, m_value, mu_action,
                            q_gradients_batch, q_value, v_value)
 from nafdrive.netcore import finite_diff_check
 
@@ -23,9 +23,8 @@ def const_params(amax_bias=0.0, beta_bias=0.0, ttrans_bias=0.0,
     return params
 
 
-def q_gradient(state, action, params):
-    grad, _ = q_gradients_batch(state.as_array()[None, :], [action.a_yaw],
-                                [1.0], params)
+def q_gradient(state, a_yaw, params):
+    grad, _ = q_gradients_batch(state, [a_yaw], [1.0], params)
     return grad
 
 
@@ -42,7 +41,7 @@ def random_state(rng) -> RlState:
 
 def features(state: RlState):
     """The deviation triple (dd, dv, dphi) that feeds mu."""
-    h = _Heads(NafParams.init(0, hidden=(8,)), state.as_array())
+    h = _Heads(NafParams.init(0, hidden=(8,)), state)
     return h.dd[0], h.dv[0], h.dphi[0]
 
 
@@ -69,7 +68,7 @@ def test_mu_zero_features_gives_zero_action():
     rng = np.random.default_rng(0)
     params = NafParams.init(rng, hidden=(8,))
     a, _ = mu_action(RlState(20.0, 0.0, 0.0, 0.0, 0.1, 0.0), params)
-    assert a.a_yaw == 0.0
+    assert a == 0.0
 
 
 def test_mu_bounded_by_cap():
@@ -77,7 +76,8 @@ def test_mu_bounded_by_cap():
     for _ in range(100):
         params = NafParams.init(rng, hidden=(8,))
         a, heads = mu_action(random_state(rng), params)
-        assert abs(a.a_yaw) < heads.a_max <= A_CAP
+        assert type(a) is float
+        assert abs(a) < heads.a_max <= A_CAP
 
 
 def test_mu_hand_case():
@@ -92,8 +92,8 @@ def test_mu_hand_case():
     assert heads.beta_sen == pytest.approx(1.0, abs=1e-12)
     assert heads.t_trns == pytest.approx(2.0, abs=1e-12)
     assert heads.a_tmp == pytest.approx(0.46875, abs=1e-12)
-    assert a.a_yaw == pytest.approx(0.5 * math.tanh(0.46875), abs=1e-12)
-    assert a.a_yaw == pytest.approx(0.2186, abs=1e-4)
+    assert a == pytest.approx(0.5 * math.tanh(0.46875), abs=1e-12)
+    assert a == pytest.approx(0.2186, abs=1e-4)
 
 
 def test_mu_odd_in_atmp_with_heads_fixed():
@@ -110,7 +110,7 @@ def test_mu_odd_in_atmp_with_heads_fixed():
         a, h = mu_action(s, params)
         am, hm = mu_action(mirrored, params)
         assert hm.a_tmp == pytest.approx(-h.a_tmp, abs=1e-12)
-        assert am.a_yaw == pytest.approx(-a.a_yaw, abs=1e-12)
+        assert am == pytest.approx(-a, abs=1e-12)
 
 
 def test_nonfinite_head_error_names_network():
@@ -166,7 +166,7 @@ def test_q_hand_case():
     m_bias = math.log(math.expm1(1.0 - M_EPS))  # softplus + eps = 1
     params = const_params(m_bias=m_bias, v_bias=-1.0)
     s = RlState(20.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # zero features -> mu = 0
-    q = q_value(s, Action(-0.3), params)
+    q = q_value(s, -0.3, params)
     assert q == pytest.approx(-1.09, abs=1e-12)
 
 
@@ -175,10 +175,10 @@ def test_q_below_v_away_from_mu():
     for _ in range(50):
         params = NafParams.init(rng, hidden=(8,))
         s = random_state(rng)
-        a = greedy_action(s, params).a_yaw
+        a = greedy_action(s, params)
         v = v_value(s, params)
-        assert q_value(s, Action(a + 0.2), params) < v
-        assert q_value(s, Action(a - 0.2), params) < v
+        assert q_value(s, a + 0.2, params) < v
+        assert q_value(s, a - 0.2, params) < v
 
 
 def test_grid_search_never_beats_mu():
@@ -187,7 +187,7 @@ def test_grid_search_never_beats_mu():
     s = random_state(rng)
     q_star = q_value(s, greedy_action(s, params), params)
     grid = np.arange(-A_CAP, A_CAP + 1e-9, 1e-3)
-    qs = [q_value(s, Action(float(a)), params) for a in grid]
+    qs = [q_value(s, float(a), params) for a in grid]
     assert max(qs) <= q_star + 1e-12
 
 
@@ -198,7 +198,7 @@ def test_gradient_zero_for_amax_when_atmp_zero():
     rng = np.random.default_rng(10)
     params = NafParams.init(rng, hidden=(8,))
     s = RlState(20.0, 0.0, 0.0, 0.0, 0.1, 0.0)  # a_tmp = 0
-    grad = q_gradient(s, Action(0.2), params)
+    grad = q_gradient(s, 0.2, params)
     assert np.all(grad[params.span("amax_net")] == 0.0)
 
 
@@ -206,7 +206,7 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     params = NafParams.init(rng, hidden=(8,))
     s = random_state(rng)
-    a = Action(float(rng.uniform(-0.5, 0.5)))
+    a = float(rng.uniform(-0.5, 0.5))
     grad = q_gradient(s, a, params)
     max_err = finite_diff_check(lambda: q_value(s, a, params), params.flat, grad)
     assert max_err < 1e-4

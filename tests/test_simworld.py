@@ -1,13 +1,14 @@
 """Highway environment: kinematics, rewards, traffic generation, episodes."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from nafdrive.errors import SimulationFault
 from nafdrive.longitudinal import free_leader_accel
-from nafdrive.nafq import Action, RlState
+from nafdrive.nafq import RlState
 from nafdrive.simworld import (EpisodeMetrics, RewardWeights, RoadSpec,
                                TrafficConfig, VehicleState, World, WorldConfig,
                                accumulate_metrics, build_rl_state,
@@ -18,7 +19,7 @@ DT = 0.1
 
 
 def zero_policy(states):
-    return [Action(0.0) for _ in states]
+    return [0.0 for _ in states]
 
 
 def find(world, vid):
@@ -130,14 +131,14 @@ def test_rl_state_offset_case():
 
 
 def test_reward_zero_case():
-    r = immediate_reward(Action(0.0), RlState(20, 0, 0.0, 0.0, 0.0, 0),
+    r = immediate_reward(0.0, RlState(20, 0, 0.0, 0.0, 0.0, 0),
                          RewardWeights())
     assert r == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_reward_composite_case():
     r, r_acce, r_rate, r_dev = immediate_reward(
-        Action(0.1), RlState(20, 0, 1.875, 0.0, 0.05, 0), RewardWeights())
+        0.1, RlState(20, 0, 1.875, 0.0, 0.05, 0), RewardWeights())
     assert r == pytest.approx(-0.275, abs=1e-15)
     assert r_acce == pytest.approx(-0.2) and r_rate == pytest.approx(-0.025)
     assert r_dev == pytest.approx(-0.05)
@@ -145,7 +146,7 @@ def test_reward_composite_case():
 
 def test_reward_pure_acceleration_case():
     r, r_acce, _, _ = immediate_reward(
-        Action(0.2), RlState(20, 0, 0.0, 0.0, 0.0, 0), RewardWeights())
+        0.2, RlState(20, 0, 0.0, 0.0, 0.0, 0), RewardWeights())
     assert r == pytest.approx(-0.4, abs=1e-15) and r == r_acce
 
 
@@ -267,7 +268,7 @@ def test_mirrored_episodes_same_rewards():
         make_vehicle(world, lane=1, target=target, maneuver="changing", v=15.0)
         rewards = []
         for k in range(len(seq)):
-            res = world.step(lambda s: [Action(sign * seq[k])], DT)
+            res = world.step(lambda s: [sign * seq[k]], DT)
             rewards.extend((t.r, t.r_acce, t.r_rate, t.r_dev)
                            for t in res.transitions)
         return rewards
@@ -435,7 +436,7 @@ def test_step_independent_of_vehicle_order():
     ]
 
     def policy(states):
-        return [Action(-0.1 * s.delta_d_lat) for s in states]
+        return [-0.1 * s.delta_d_lat for s in states]
 
     def run(reverse):
         world = make_world(no_spawns=True)
@@ -459,3 +460,37 @@ def test_step_independent_of_vehicle_order():
     assert len(forward[0]) == len(specs)
     assert sum(len(tick[0]) for tick in forward[1]) > 20
     assert forward == backward
+
+
+# -- policy interface
+
+
+def float_fields(obj):
+    return [getattr(obj, f.name) for f in fields(obj) if f.type == "float"]
+
+
+def test_array_policy_gets_state_rows_and_leaves_plain_floats():
+    world = make_world(seed=3)
+    calls = []
+
+    def policy(states):
+        # called on the pre-step snapshot, before any vehicle moves
+        expected = [build_rl_state(world.cfg.road, veh) for veh in world.vehicles
+                    if veh.maneuver != "keeping"]
+        assert all(type(s) is RlState for s in states)
+        assert states == expected
+        calls.append(len(states))
+        return np.array([-0.1 * s.delta_d_lat - 0.5 * s.omega for s in states])
+
+    transitions, episodes = [], []
+    for _ in range(1500):
+        res = world.step(policy, DT)
+        transitions.extend(res.transitions)
+        episodes.extend(res.episodes)
+        for veh in world.vehicles:
+            assert all(type(x) is float for x in float_fields(veh))
+
+    assert sum(calls) == len(transitions) > 0 and episodes
+    assert all(type(x) is float for tr in transitions for x in float_fields(tr))
+    assert len(float_fields(transitions[0])) == 5  # a_yaw and the four rewards
+    assert all(type(x) is float for ep in episodes for x in float_fields(ep))
