@@ -132,8 +132,10 @@ def train_step(params: NafParams, target_params: NafParams, batch,
     states, actions, next_states, rewards, nonterminal = batch
     targets = _targets(next_states, rewards, nonterminal, target_params, gamma)
 
-    # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta
-    loss, grad = fit_gradients(states, actions, targets, params)
+    # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta,
+    # backpropagated only through the nets this stage steps
+    nets = [name for key in STAGE_SLICES[stage] for name in ADAM_SLICES[key]]
+    loss, grad = fit_gradients(states, actions, targets, params, nets)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss; step aborted")
 

@@ -115,21 +115,32 @@ def _softplus(x):
 
 
 class _Heads:
-    """Batched evaluation of all five networks with everything the gradient
-    chain needs (raw outputs, caches, transformed values, mu).
+    """Batched evaluation of the networks named in `nets` (all five by
+    default) with everything the gradient chain needs: raw outputs, caches,
+    and the transformed values of the nets evaluated.  mu and the deviation
+    features exist when the three head nets are among `nets`, m when
+    `m_net` is, v when `v_net` is.
 
     `states` is one state, a list of states or an (n, 6) array.
     """
 
-    def __init__(self, params: NafParams, states):
+    def __init__(self, params: NafParams, states, nets=NafParams.NET_NAMES):
         S = np.atleast_2d(np.asarray(states, dtype=float))
         self.o = {}
         self.caches = {}
-        for name, net in params.nets().items():
-            y, cache = net_forward(net, S)
+        for name in nets:
+            y, cache = net_forward(getattr(params, name), S)
             self.o[name] = y[:, 0]
             self.caches[name] = cache
 
+        if all(name in self.o for name in NafParams.MU_NET_NAMES):
+            self._greedy_head(params, S)
+        if "m_net" in self.o:
+            self.m = -_softplus(self.o["m_net"]) - params.m_eps
+        if "v_net" in self.o:
+            self.v = self.o["v_net"]
+
+    def _greedy_head(self, params: NafParams, S):
         self.a_max = params.a_cap * _sigmoid(self.o["amax_net"])
         self.beta = _softplus(self.o["beta_net"])
         self.t_trns = params.t_min + (params.t_max - params.t_min) * _sigmoid(
@@ -152,13 +163,10 @@ class _Heads:
         if not np.all(np.isfinite(self.mu)):
             raise NumericalError("non-finite greedy action")
 
-        self.m = -_softplus(self.o["m_net"]) - params.m_eps
-        self.v = self.o["v_net"]
-
 
 def mu_action(state: RlState, params: NafParams):
     """Greedy head: returns the yaw acceleration mu(s) and the head values."""
-    h = _Heads(params, state)
+    h = _Heads(params, state, NafParams.MU_NET_NAMES)
     heads = HeadValues(
         a_max=float(h.a_max[0]),
         beta_sen=float(h.beta[0]),
@@ -170,7 +178,7 @@ def mu_action(state: RlState, params: NafParams):
 
 def m_value(state: RlState, params: NafParams) -> float:
     """Strictly negative curvature of the quadratic advantage."""
-    h = _Heads(params, state)
+    h = _Heads(params, state, ("m_net",))
     return float(h.m[0])
 
 
@@ -199,8 +207,8 @@ def greedy_action(state: RlState, params: NafParams) -> float:
 
 
 def greedy_actions_batch(states, params: NafParams) -> np.ndarray:
-    """mu(s) for every row of `states` (n, 6)."""
-    return _Heads(params, states).mu
+    """mu(s) for every row of `states` (n, 6), from the three head nets."""
+    return _Heads(params, states, NafParams.MU_NET_NAMES).mu
 
 
 def greedy_policy(params: NafParams):
@@ -213,73 +221,78 @@ def greedy_policy(params: NafParams):
     return policy
 
 
-def _q_upstreams(h: _Heads, params: NafParams, actions: np.ndarray):
-    """Per-item dQ/d(raw head output) for each of the five networks,
-    chaining through the quadratic form, the head transforms, tanh, and
-    the transition-time dependency of a_tmp
+def _q_upstreams(h: _Heads, params: NafParams, actions: np.ndarray, nets):
+    """Q per item, and per-item dQ/d(raw head output) for each network in
+    `nets`, chaining through the quadratic form, the head transforms, tanh,
+    and the transition-time dependency of a_tmp
     (d a_tmp / d T = -2*dd/T^3 - dv*dphi/T^2)."""
     diff = h.mu - actions
     q = h.m * diff * diff + h.v
 
-    dq_dmu = 2.0 * h.m * diff
     dq_dm = diff * diff
+    upstream = {"m_net": -dq_dm * _sigmoid(h.o["m_net"]), "v_net": np.ones_like(q)}
+    if not set(nets).isdisjoint(NafParams.MU_NET_NAMES):
+        dq_dmu = 2.0 * h.m * diff
+        sech2 = 1.0 - h.tanh_arg**2
+        dmu_damax = h.tanh_arg
+        dmu_dbeta = h.a_max * sech2 * h.a_tmp
+        dmu_datmp = h.a_max * sech2 * h.beta
+        datmp_dt = -2.0 * h.dd / h.t_trns**3 - h.dv * h.dphi / h.t_trns**2
 
-    sech2 = 1.0 - h.tanh_arg**2
-    dmu_damax = h.tanh_arg
-    dmu_dbeta = h.a_max * sech2 * h.a_tmp
-    dmu_datmp = h.a_max * sech2 * h.beta
-    datmp_dt = -2.0 * h.dd / h.t_trns**3 - h.dv * h.dphi / h.t_trns**2
-
-    sig1 = _sigmoid(h.o["amax_net"])
-    sig3 = _sigmoid(h.o["ttrans_net"])
-    upstream = {
-        "amax_net": dq_dmu * dmu_damax * params.a_cap * sig1 * (1.0 - sig1),
-        "beta_net": dq_dmu * dmu_dbeta * _sigmoid(h.o["beta_net"]),
-        "ttrans_net": dq_dmu
-        * dmu_datmp
-        * datmp_dt
-        * (params.t_max - params.t_min)
-        * sig3
-        * (1.0 - sig3),
-        "m_net": -dq_dm * _sigmoid(h.o["m_net"]),
-        "v_net": np.ones_like(q),
-    }
-    return q, upstream
+        sig1 = _sigmoid(h.o["amax_net"])
+        sig3 = _sigmoid(h.o["ttrans_net"])
+        upstream["amax_net"] = dq_dmu * dmu_damax * params.a_cap * sig1 * (1.0 - sig1)
+        upstream["beta_net"] = dq_dmu * dmu_dbeta * _sigmoid(h.o["beta_net"])
+        upstream["ttrans_net"] = (dq_dmu
+                                  * dmu_datmp
+                                  * datmp_dt
+                                  * (params.t_max - params.t_min)
+                                  * sig3
+                                  * (1.0 - sig3))
+    return q, {name: upstream[name] for name in nets}
 
 
 def _weighted_backward(h: _Heads, params: NafParams, upstream: dict, coeffs):
-    grad = np.empty_like(params.flat)
-    for name, net in params.nets().items():
-        up = (coeffs * upstream[name])[:, None]
-        g, _ = net_backward(net, h.caches[name], up, grad[params.span(name)])
+    """Gradient of sum_i coeffs_i * Q_i through the networks `upstream`
+    names, laid out like `params.flat`; the spans of the other nets are
+    zero."""
+    grad = np.zeros(params.flat.shape)
+    for name, up_q in upstream.items():
+        up = (coeffs * up_q)[:, None]
+        g, _ = net_backward(getattr(params, name), h.caches[name], up,
+                            grad[params.span(name)])
         if not np.isfinite(g.sum()):
             raise NumericalError(f"non-finite gradient through {name}")
     return grad
 
 
 def q_gradients_batch(states, actions, coeffs, params: NafParams):
-    """Accumulated gradient of sum_i coeffs_i * Q(s_i, a_i).
+    """Accumulated gradient of sum_i coeffs_i * Q(s_i, a_i) over all five
+    networks.
 
     Returns (grad, q_values); grad is laid out like `params.flat`.
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
     w = np.asarray(coeffs, dtype=float).reshape(-1)
     h = _Heads(params, states)
-    q, upstream = _q_upstreams(h, params, a)
+    q, upstream = _q_upstreams(h, params, a, NafParams.NET_NAMES)
     return _weighted_backward(h, params, upstream, w), q
 
 
-def fit_gradients(states, actions, targets, params: NafParams):
+def fit_gradients(states, actions, targets, params: NafParams,
+                  nets=NafParams.NET_NAMES):
     """Loss and gradient of the mean squared TD error in one pass.
 
-    loss = (1/N) sum_i (Q_i - target_i)^2 with the targets held constant;
-    head networks are evaluated once and reused for the backward sweep.
-    The gradient is laid out like `params.flat`.
+    loss = (1/N) sum_i (Q_i - target_i)^2 with the targets held constant.
+    All five networks are evaluated once, since Q needs them all; the
+    backward sweep runs only through the networks in `nets`.  The gradient
+    is laid out like `params.flat`, with zeros in the spans of the other
+    nets.
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
     t = np.asarray(targets, dtype=float).reshape(-1)
     h = _Heads(params, states)
-    q, upstream = _q_upstreams(h, params, a)
+    q, upstream = _q_upstreams(h, params, a, nets)
     errors = q - t
     loss = float(np.mean(errors**2))
     coeffs = (2.0 / len(a)) * errors

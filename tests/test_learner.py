@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nafdrive.errors import ConfigurationError, ContractError
+from nafdrive import nafq
+from nafdrive.errors import ConfigurationError, ContractError, NumericalError
 from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
                               _targets, batch_loss, explore_actions, make_rngs,
                               opt_states_init, run_training, sigma_at,
@@ -306,6 +307,33 @@ def test_head_adam_step_count_starts_at_joint_stage():
     big = g > 1e-4
     assert big.sum() > 10
     assert np.allclose(moved[big], lr * g[big] / (g[big] + 1e-8), rtol=1e-9)
+
+
+def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
+    params, target, batch = _params_and_batch(6)
+    names = {id(net): name for name, net in params.nets().items()}
+    seen = []
+    backward = nafq.net_backward
+
+    def counted(net, *args):
+        seen.append(names[id(net)])
+        return backward(net, *args)
+
+    monkeypatch.setattr(nafq, "net_backward", counted)
+    opt = opt_states_init(params)
+    train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
+    assert seen == ["m_net", "v_net"]
+    seen.clear()
+    train_step(params, target, batch, JOINT, opt, 0.001, 0.95)
+    assert seen == list(NafParams.NET_NAMES)
+
+
+def test_pretrain_step_with_nonfinite_m_net_names_it():
+    params, target, batch = _params_and_batch(7)
+    params.m_net.weights[0][0, 0] = math.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="m_net"):
+        train_step(params, target, batch, PRETRAIN, opt_states_init(params),
+                   0.001, 0.95)
 
 
 def test_zero_lr_changes_nothing():

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from nafdrive import nafq
 from nafdrive.errors import NumericalError
 from nafdrive.errors import ContractError
 from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, NafParams, RlState,
-                           _Heads, greedy_action, m_value, mu_action,
+                           _Heads, fit_gradients, greedy_action,
+                           greedy_actions_batch, m_value, mu_action,
                            q_gradients_batch, q_value, v_value)
 from nafdrive.netcore import finite_diff_check
 
@@ -34,6 +36,21 @@ def random_state(rng) -> RlState:
                    theta=float(rng.normal(0, 0.1)),
                    omega=float(rng.normal(0, 0.1)),
                    c=float(rng.normal(0, 0.001)))
+
+
+def forward_calls(monkeypatch, params):
+    """Record, in call order, the name of each net of `params` that the
+    nafq module global net_forward is called on, as the tracer sees them."""
+    names = {id(net): name for name, net in params.nets().items()}
+    seen = []
+    forward = nafq.net_forward
+
+    def counted(net, *args):
+        seen.append(names[id(net)])
+        return forward(net, *args)
+
+    monkeypatch.setattr(nafq, "net_forward", counted)
+    return seen
 
 
 # -- deviation features
@@ -117,6 +134,21 @@ def test_nonfinite_head_error_names_network():
     params = const_params(amax_bias=math.nan)
     with pytest.raises(NumericalError, match="amax_net"):
         mu_action(RlState(20.0, 0.0, 1.0, 0.0, 0.0, 0.0), params)
+
+
+def test_policy_evaluates_only_the_head_nets(monkeypatch):
+    rng = np.random.default_rng(7)
+    params = NafParams.init(rng, hidden=(8,))
+    states = [random_state(rng) for _ in range(3)]
+    seen = forward_calls(monkeypatch, params)
+    greedy_actions_batch(states, params)
+    assert seen == list(NafParams.MU_NET_NAMES)
+    seen.clear()
+    mu_action(states[0], params)
+    assert seen == list(NafParams.MU_NET_NAMES)
+    seen.clear()
+    m_value(states[0], params)
+    assert seen == ["m_net"]
 
 
 # -- curvature and value heads
@@ -210,6 +242,20 @@ def test_gradients_match_finite_differences():
     grad = q_gradient(s, a, params)
     max_err = finite_diff_check(lambda: q_value(s, a, params), params.flat, grad)
     assert max_err < 1e-4
+
+
+def test_fit_restricted_to_q_nets_matches_full_fit():
+    rng = np.random.default_rng(12)
+    params = NafParams.init(rng, hidden=(8,))
+    states = np.array([random_state(rng) for _ in range(16)])
+    actions, targets = rng.uniform(-0.5, 0.5, 16), rng.normal(size=16)
+    loss, grad = fit_gradients(states, actions, targets, params)
+    q_loss, q_grad = fit_gradients(states, actions, targets, params, ("m_net", "v_net"))
+    q_span = params.span("m_net", "v_net")
+    assert q_loss == loss
+    assert np.array_equal(q_grad[q_span], grad[q_span])
+    assert np.all(q_grad[params.span(*NafParams.MU_NET_NAMES)] == 0.0)
+    assert np.any(grad[params.span(*NafParams.MU_NET_NAMES)] != 0.0)
 
 
 def test_constants_defaults():
