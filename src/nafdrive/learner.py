@@ -10,6 +10,7 @@ function of (TrainConfig, WorldConfig, seed).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +200,8 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     with Gaussian exploration and its transition enters the buffer; one
     gradient step runs once the buffer holds a full batch; the frozen copy
     is overwritten every target_sync_every steps; the stage switches from
-    pretrain to joint after pretrain_steps.  Loss is logged every
+    pretrain to joint after pretrain_steps (a RuntimeWarning says so when
+    that comes before the first gradient step).  Loss is logged every
     loss_log_every global steps (empty before the first trained step) and
     `checkpoint_hook(step, state_dict)` fires at each scheduled step.
     Rows are appended to `loss_rows` and `episode_rows` as they are
@@ -234,6 +236,12 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
         if len(buffer) >= train_cfg.batch_size:
             batch = buffer.sample(train_cfg.batch_size, rngs["replay"])
             stage = PRETRAIN if step <= train_cfg.pretrain_steps else JOINT
+            if stage == JOINT and last_loss is None:
+                warnings.warn(
+                    f"the first gradient step, at step {step}, is in the joint "
+                    f"stage: pretrain_steps {train_cfg.pretrain_steps} ended before "
+                    f"the replay buffer held a batch of {train_cfg.batch_size}, so "
+                    f"no pretrain step ran", RuntimeWarning, stacklevel=2)
             last_loss = train_step(params, target_params, batch, stage,
                                    opt_states, train_cfg.learning_rate,
                                    train_cfg.gamma)

@@ -9,11 +9,11 @@ deviation features of the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from .errors import ContractError, NumericalError
 from .netcore import Network, net_backward, net_forward, net_init, param_count
@@ -27,6 +27,9 @@ A_CAP = 0.6
 T_MIN = 0.5
 T_MAX = 10.0
 M_EPS = 1e-3
+
+# Below this, exp(-x) overflows a double; the sigmoid there is 1/(1+inf) = 0.
+_EXP_OVERFLOW = -709.782712893384
 
 
 class RlState(NamedTuple):
@@ -71,6 +74,7 @@ class NafParams:
     ttrans_net: Network = field(init=False, repr=False)
     m_net: Network = field(init=False, repr=False)
     v_net: Network = field(init=False, repr=False)
+    _spans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     NET_NAMES = ("amax_net", "beta_net", "ttrans_net", "m_net", "v_net")
     MU_NET_NAMES = ("amax_net", "beta_net", "ttrans_net")
@@ -91,12 +95,15 @@ class NafParams:
 
     def span(self, *names) -> slice:
         """The slice of `flat` holding the named nets, which must be adjacent
-        in NET_NAMES order."""
-        first = self.NET_NAMES.index(names[0])
-        if self.NET_NAMES[first:first + len(names)] != names:
-            raise ContractError(f"nets {names} are not adjacent in {self.NET_NAMES}")
-        n = param_count(self.layer_dims)
-        return slice(first * n, (first + len(names)) * n)
+        in NET_NAMES order; memoised, since the training loop asks for the
+        same few spans every step."""
+        if names not in self._spans:
+            first = self.NET_NAMES.index(names[0])
+            if self.NET_NAMES[first:first + len(names)] != names:
+                raise ContractError(f"nets {names} are not adjacent in {self.NET_NAMES}")
+            n = param_count(self.layer_dims)
+            self._spans[names] = slice(first * n, (first + len(names)) * n)
+        return self._spans[names]
 
     def copy(self) -> "NafParams":
         return replace(self, layer_dims=list(self.layer_dims), flat=self.flat.copy())
@@ -112,6 +119,14 @@ class NafParams:
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
+
+
+def _sigmoid(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)) of a 1-D array, element by element
+    with the C library's exp, so it equals scipy.special.expit bit for bit.
+    numpy's vectorised exp can differ from it in the last bit."""
+    return np.array([0.0 if v < _EXP_OVERFLOW else 1.0 / (1.0 + math.exp(-v))
+                     for v in x.tolist()])
 
 
 class _Heads:
@@ -141,17 +156,18 @@ class _Heads:
             self.v = self.o["v_net"]
 
     def _greedy_head(self, params: NafParams, S):
-        self.a_max = params.a_cap * _sigmoid(self.o["amax_net"])
+        # the two sigmoids are kept for the gradient chain in _q_upstreams
+        self.sig_amax = _sigmoid(self.o["amax_net"])
+        self.sig_ttrans = _sigmoid(self.o["ttrans_net"])
+        self.a_max = params.a_cap * self.sig_amax
         self.beta = _softplus(self.o["beta_net"])
-        self.t_trns = params.t_min + (params.t_max - params.t_min) * _sigmoid(
-            self.o["ttrans_net"]
-        )
+        self.t_trns = params.t_min + (params.t_max - params.t_min) * self.sig_ttrans
         for name, vals in (
             ("amax_net", self.a_max),
             ("beta_net", self.beta),
             ("ttrans_net", self.t_trns),
         ):
-            if not np.all(np.isfinite(vals)):
+            if not np.isfinite(vals).all():
                 raise NumericalError(f"non-finite head value from {name}")
 
         self.dd = S[:, 2]
@@ -160,7 +176,7 @@ class _Heads:
         self.a_tmp = self.dd / self.t_trns**2 + self.dv * self.dphi / self.t_trns
         self.tanh_arg = np.tanh(self.beta * self.a_tmp)
         self.mu = self.a_max * self.tanh_arg
-        if not np.all(np.isfinite(self.mu)):
+        if not np.isfinite(self.mu).all():
             raise NumericalError("non-finite greedy action")
 
 
@@ -239,8 +255,8 @@ def _q_upstreams(h: _Heads, params: NafParams, actions: np.ndarray, nets):
         dmu_datmp = h.a_max * sech2 * h.beta
         datmp_dt = -2.0 * h.dd / h.t_trns**3 - h.dv * h.dphi / h.t_trns**2
 
-        sig1 = _sigmoid(h.o["amax_net"])
-        sig3 = _sigmoid(h.o["ttrans_net"])
+        sig1 = h.sig_amax
+        sig3 = h.sig_ttrans
         upstream["amax_net"] = dq_dmu * dmu_damax * params.a_cap * sig1 * (1.0 - sig1)
         upstream["beta_net"] = dq_dmu * dmu_dbeta * _sigmoid(h.o["beta_net"])
         upstream["ttrans_net"] = (dq_dmu

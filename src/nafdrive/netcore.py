@@ -37,23 +37,24 @@ class Network:
     flat: np.ndarray
     weights: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out, fan_in)
     biases: list[np.ndarray] = field(init=False, repr=False)   # each (fan_out,)
+    n_layers: int = field(init=False, repr=False)
+    # per layer: (weight slice, bias slice) of the flat layout
+    layout: list[tuple[slice, slice]] = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.layer_dims
         if self.flat.shape != (param_count(dims),) or not self.flat.flags.c_contiguous:
             raise ContractError(
                 f"flat parameters {self.flat.shape} do not fit layer_dims {dims}")
-        self.weights, self.biases = [], []
+        self.weights, self.biases, self.layout = [], [], []
         i = 0
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            self.weights.append(self.flat[i:i + fan_out * fan_in].reshape(fan_out, fan_in))
-            i += fan_out * fan_in
-            self.biases.append(self.flat[i:i + fan_out])
-            i += fan_out
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+            j = i + fan_out * fan_in
+            self.layout.append((slice(i, j), slice(j, j + fan_out)))
+            self.weights.append(self.flat[i:j].reshape(fan_out, fan_in))
+            self.biases.append(self.flat[j:j + fan_out])
+            i = j + fan_out
+        self.n_layers = len(self.layout)
 
     def copy(self) -> "Network":
         return Network(list(self.layer_dims), self.flat.copy())
@@ -109,12 +110,12 @@ def net_forward(net: Network, x):
     acts = []     # tanh output of each hidden layer (None for the last, linear layer)
     for k in range(net.n_layers):
         inputs.append(h)
-        z = h @ net.weights[k].T + net.biases[k]
+        h = h @ net.weights[k].T
+        h += net.biases[k]
         if k < net.n_layers - 1:
-            h = np.tanh(z)
+            np.tanh(h, out=h)
             acts.append(h)
         else:
-            h = z
             acts.append(None)
     cache = (net.n_layers, inputs, acts)
     y = h[0] if single else h
@@ -142,16 +143,21 @@ def net_backward(net: Network, cache, upstream, out=None):
         raise ContractError(
             f"upstream shape {upstream.shape} incompatible with cached batch"
         )
-    grads = Network(net.layer_dims, np.empty(net.flat.size) if out is None else out)
+    if out is None:
+        out = np.empty(net.flat.size)
+    elif out.shape != net.flat.shape or not out.flags.c_contiguous:
+        raise ContractError(
+            f"gradient vector {out.shape} does not fit layer_dims {net.layer_dims}")
     for k in range(net.n_layers - 1, -1, -1):
-        np.matmul(delta.T, inputs[k], out=grads.weights[k])
-        delta.sum(axis=0, out=grads.biases[k])
+        w, b = net.layout[k]
+        np.matmul(delta.T, inputs[k], out=out[w].reshape(net.weights[k].shape))
+        delta.sum(axis=0, out=out[b])
         dx = delta @ net.weights[k]
         if k > 0:
             dx = dx * (1.0 - acts[k - 1] ** 2)  # tanh'
         delta = dx
     input_grad = delta[0] if single else delta
-    return grads.flat, input_grad
+    return out, input_grad
 
 
 def finite_diff_check(objective, theta: np.ndarray, analytic, h: float = 1e-4) -> float:
@@ -188,9 +194,22 @@ def adaptive_update(theta, grad, m, v, t: int, lr: float) -> int:
     t += 1
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
+    # m = b1*m + (1-b1)*grad, v = b2*v + (1-b2)*grad*grad and
+    # theta -= lr*(m/c1) / (sqrt(v/c2) + eps), the same operations in the same
+    # order, through two scratch vectors instead of a new one per operation:
+    # a fresh vector of this size can cost page faults on every call
+    step = np.multiply(grad, 1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += step
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+    step *= grad
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    v += step
+    np.divide(m, c1, out=step)
+    step *= lr
+    denom = np.divide(v, c2)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    theta -= step
     return t

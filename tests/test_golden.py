@@ -10,6 +10,9 @@ steps.
 
 import hashlib
 import json
+import warnings
+
+import pytest
 
 from nafdrive.cli import default_config_dict, main
 
@@ -26,18 +29,34 @@ def sha256_prefix(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def test_short_train_and_eval_match_golden_digests(tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The run directory of the golden train and eval, and the warnings the
+    train raised."""
+    tmp_path = tmp_path_factory.mktemp("golden")
     data = default_config_dict(seed=0)
     data["train"].update(total_steps=1000, pretrain_steps=500,
                          checkpoint_schedule=[1000])
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(data))
     run = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
     assert main(["eval", "--checkpoint", str(run / "checkpoint_00001000.json"),
                  "--config", str(cfg), "--episodes", "5", "--seed", "1000",
                  "--out", str(run / "eval.csv")]) == 0
+    return run, caught
+
+
+def test_short_train_and_eval_match_golden_digests(golden_run):
+    run, _ = golden_run
     losses = dict(line.split(",") for line in (run / "loss.csv").read_text().splitlines()
                   if line[0].isdigit())
     assert losses["500"], "no gradient step in the pretrain stage"
     assert {name: sha256_prefix(run / name) for name in GOLDEN} == GOLDEN
+
+
+def test_golden_train_raises_no_warning(golden_run):
+    _, caught = golden_run
+    assert [str(w.message) for w in caught] == []

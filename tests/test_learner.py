@@ -445,3 +445,13 @@ def test_run_training_rewards_nonpositive():
     for ep in result.episode_rows:
         assert ep.R_acce <= 0 and ep.R_rate <= 0 and ep.R_dev <= 0
         assert ep.R == ep.R_acce + ep.R_rate + ep.R_dev
+
+
+def test_pretrain_ending_before_the_first_gradient_step_warns():
+    cfg = small_train_cfg(total_steps=300, pretrain_steps=1, loss_log_every=1,
+                          checkpoint_schedule=[])
+    with pytest.warns(RuntimeWarning, match="pretrain_steps 1 ") as record:
+        result = run_training(cfg, WorldConfig())
+    first = next(step for step, loss in result.loss_rows if loss is not None)
+    assert len(record) == 1
+    assert f"first gradient step, at step {first}," in str(record[0].message)

@@ -53,6 +53,22 @@ def forward_calls(monkeypatch, params):
     return seen
 
 
+# -- sigmoid
+
+
+def test_sigmoid_equals_scipy_expit_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    overflow = -709.782712893384  # below it exp(-x) overflows
+    edges = [overflow, np.nextafter(overflow, -np.inf), -overflow, 745.0, -745.0,
+             746.0, -746.0, np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+             2.2250738585072014e-308, -2.2250738585072014e-308]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges] + [rng.normal(scale=scale, size=20_000)
+                                  for scale in (0.01, 0.1, 1.0, 10.0, 100.0)])
+    assert np.array_equal(nafq._sigmoid(x).view(np.uint64),
+                          special.expit(x).view(np.uint64))
+
+
 # -- deviation features
 
 

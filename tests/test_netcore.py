@@ -136,6 +136,8 @@ def test_backward_writes_into_out():
     out = np.full(net.param_count(), np.nan)
     grad, _ = net_backward(net, cache, np.ones(1), out)
     assert grad is out and np.all(np.isfinite(out))
+    with pytest.raises(ContractError):
+        net_backward(net, cache, np.ones(1), np.empty(net.param_count() + 1))
 
 
 def test_backward_stale_cache_rejected():
