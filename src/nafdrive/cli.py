@@ -23,10 +23,10 @@ from .errors import ConfigurationError
 from .learner import TrainConfig, batch_loss, make_rngs, run_training
 from .longitudinal import IdmParams
 from .nafq import NafParams, RlState, greedy_policy, q_gradients_batch, q_value
-from .netcore import OptState, finite_diff_check, net_backward, net_forward, net_init
+from .netcore import finite_diff_check, net_backward, net_forward, net_init
 from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 CONFIG_SCHEMA = {
     "seed": None,
@@ -175,38 +175,13 @@ def _params_from_json(d: dict) -> NafParams:
                      **d["constants"])
 
 
-def _opt_to_json(opt: OptState) -> dict:
-    return {"m": opt.m.tolist(), "v": opt.v.tolist(), "t": dict(opt.t)}
-
-
-def _opt_from_json(d: dict) -> OptState:
-    return OptState(np.array(d["m"], dtype=float), np.array(d["v"], dtype=float),
-                    dict(d["t"]))
-
-
-def _rngs_to_json(rngs: dict) -> dict:
-    return {name: g.bit_generator.state for name, g in rngs.items()}
-
-
-def _rngs_from_json(d: dict) -> dict:
-    out = {}
-    for name, state in d.items():
-        g = np.random.default_rng()
-        g.bit_generator.state = state
-        out[name] = g
-    return out
-
-
-def save_checkpoint(path: str, step: int, params: NafParams,
-                    target_params: NafParams, opt_states: OptState, rngs: dict,
-                    digest: str):
+# perfbench/ passes all seven positionally, so the three unwritten ones stay
+def save_checkpoint(path: str, step: int, params: NafParams, _target_params,
+                    _opt_states, _rngs, digest: str):
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "step": step,
         "params": _params_to_json(params),
-        "target_params": _params_to_json(target_params),
-        "opt_states": _opt_to_json(opt_states),
-        "rng_states": _rngs_to_json(rngs),
         "config_digest": digest,
     }
     atomic_write(path, _dumps(payload))
@@ -221,9 +196,6 @@ def load_checkpoint(path: str) -> dict:
     return {
         "step": data["step"],
         "params": _params_from_json(data["params"]),
-        "target_params": _params_from_json(data["target_params"]),
-        "opt_states": _opt_from_json(data["opt_states"]),
-        "rngs": _rngs_from_json(data["rng_states"]),
         "config_digest": data["config_digest"],
     }
 
@@ -276,10 +248,9 @@ def cmd_train(config_path: str, out_dir: str, seed_override=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     digest = config_digest(cfg.raw)
 
-    def hook(step, state):
+    def hook(step, params):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_{step:08d}.json"),
-                        step, state["params"], state["target_params"],
-                        state["opt_states"], state["rngs"], digest)
+                        step, params, None, None, None, digest)
 
     status = 0
     loss_rows, episode_rows = [], []

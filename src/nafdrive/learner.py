@@ -203,7 +203,8 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     pretrain to joint after pretrain_steps (a RuntimeWarning says so when
     that comes before the first gradient step).  Loss is logged every
     loss_log_every global steps (empty before the first trained step) and
-    `checkpoint_hook(step, state_dict)` fires at each scheduled step.
+    `checkpoint_hook(step, params)` fires at each scheduled step with the
+    online parameters, which training goes on to update in place.
     Rows are appended to `loss_rows` and `episode_rows` as they are
     produced, so a caller that passes its own lists keeps the rows logged
     before a fault.
@@ -250,11 +251,6 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
         if step % train_cfg.target_sync_every == 0:
             target_params = sync_target(params)
         if step in schedule and checkpoint_hook is not None:
-            checkpoint_hook(step, {
-                "params": params,
-                "target_params": target_params,
-                "opt_states": opt_states,
-                "rngs": rngs,
-            })
+            checkpoint_hook(step, params)
 
     return TrainResult(params, loss_rows, episode_rows, list(world.fault_log))

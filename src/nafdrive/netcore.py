@@ -56,12 +56,6 @@ class Network:
             i = j + fan_out
         self.n_layers = len(self.layout)
 
-    def copy(self) -> "Network":
-        return Network(list(self.layer_dims), self.flat.copy())
-
-    def param_count(self) -> int:
-        return self.flat.size
-
 
 @dataclass
 class OptState:

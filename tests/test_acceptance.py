@@ -159,9 +159,9 @@ def desk_runs():
                           seed=seed)
         saved = {}
 
-        def hook(step, state, saved=saved):
+        def hook(step, params, saved=saved):
             if step in (10_000, 80_000):
-                saved[step] = state["params"].copy()
+                saved[step] = params.copy()
 
         result = run_training(cfg, WorldConfig(), checkpoint_hook=hook)
         runs.append({"seed": seed, "loss_rows": result.loss_rows,

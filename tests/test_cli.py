@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nafdrive.cli import (CHECKPOINT_VERSION, checkgrad_suite, cmd_checkgrad,
                           config_digest, default_config_dict, load_checkpoint,
                           load_config, main, parse_config, save_checkpoint)
 from nafdrive.errors import ConfigurationError, NumericalError
-from nafdrive.learner import make_rngs, opt_states_init
+from nafdrive.learner import make_rngs
 from nafdrive.nafq import NafParams
 
 
@@ -70,48 +71,56 @@ def test_digest_ignores_seed_but_not_physics():
 # -- checkpoints
 
 
-def checkpoint_state(seed=0):
-    rngs = make_rngs(seed)
-    params = NafParams.init(rngs["init"], hidden=(8,))
-    return params, params.copy(), opt_states_init(params), rngs
+def checkpoint_params(seed=0):
+    return NafParams.init(make_rngs(seed)["init"], hidden=(8,))
 
 
 def test_checkpoint_round_trip_bytes(tmp_path):
-    params, target, opt, rngs = checkpoint_state()
+    params = checkpoint_params()
     digest = config_digest(default_config_dict())
     p1 = str(tmp_path / "ck1.json")
     p2 = str(tmp_path / "ck2.json")
-    save_checkpoint(p1, 123, params, target, opt, rngs, digest)
+    save_checkpoint(p1, 123, params, None, None, None, digest)
+    assert set(json.loads(open(p1).read())) == {
+        "format_version", "step", "params", "config_digest"}
     ck = load_checkpoint(p1)
     assert ck["step"] == 123 and ck["config_digest"] == digest
-    save_checkpoint(p2, ck["step"], ck["params"], ck["target_params"],
-                    ck["opt_states"], ck["rngs"], ck["config_digest"])
+    save_checkpoint(p2, ck["step"], ck["params"], None, None, None,
+                    ck["config_digest"])
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_checkpoint_restores_parameters(tmp_path):
-    params, target, opt, rngs = checkpoint_state(3)
+    params = checkpoint_params(3)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, 1, params, target, opt, rngs, "d")
+    save_checkpoint(path, 1, params, None, None, None, "d")
     ck = load_checkpoint(path)
     for name in NafParams.NET_NAMES:
         for a, b in zip(getattr(ck["params"], name).weights,
                         getattr(params, name).weights):
             assert np.array_equal(a, b)
-    # rng streams resume identically
-    assert ck["rngs"]["spawn"].uniform() == rngs["spawn"].uniform()
 
 
-def test_checkpoint_version_checked(tmp_path):
-    params, target, opt, rngs = checkpoint_state()
+def test_checkpoint_version_checked(tmp_path, capsys):
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, 1, params, target, opt, rngs, "d")
+    save_checkpoint(path, 1, checkpoint_params(), None, None, None, "d")
     data = json.loads(open(path).read())
     for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):
         data["format_version"] = version
         open(path, "w").write(json.dumps(data))
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
+    # eval and trace refuse a version-2 file
+    data["format_version"] = 2
+    open(path, "w").write(json.dumps(data))
+    cfg_path = write_config(tmp_path, desk_config())
+    dst = str(tmp_path / "out.csv")
+    assert main(["eval", "--checkpoint", path, "--config", cfg_path,
+                 "--episodes", "1", "--out", dst]) == 2
+    assert main(["trace", "--checkpoint", path, "--config", cfg_path,
+                 "--out", dst]) == 2
+    assert "unsupported checkpoint version 2" in capsys.readouterr().err
+    assert not os.path.exists(dst)
 
 
 # -- train command
@@ -135,10 +144,22 @@ def test_cmd_train_outputs(tmp_path):
 
 
 def test_cmd_train_rerun_byte_identical(tmp_path):
-    cfg_path = write_config(tmp_path, desk_config(seed=5))
+    data = desk_config(seed=5)
+    # seed 5 first holds a batch at step 388, so pretrain runs to 500
+    data["train"].update(total_steps=1000, pretrain_steps=500,
+                         checkpoint_schedule=[500, 1000])
+    cfg_path = write_config(tmp_path, data)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["train", "--config", cfg_path, "--out", out1]) == 0
-    assert main(["train", "--config", cfg_path, "--out", out2]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", cfg_path, "--out", out1]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out2]) == 0
+    assert [str(w.message) for w in caught] == []
+    losses = dict(line.split(",") for line in
+                  open(os.path.join(out1, "loss.csv")).read().splitlines()
+                  if line[0].isdigit())
+    assert losses["500"] and losses["1000"], "a stage took no gradient step"
+    assert len(open(os.path.join(out1, "episodes.csv")).readlines()) > 1
     for name in os.listdir(out1):
         a = open(os.path.join(out1, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()

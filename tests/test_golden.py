@@ -20,7 +20,7 @@ from nafdrive.cli import default_config_dict, main
 GOLDEN = {
     "loss.csv": "0bb99ffd772789ba",
     "episodes.csv": "a228bb039560ed95",
-    "checkpoint_00001000.json": "21075006039bdec6",
+    "checkpoint_00001000.json": "1b91f5768953e950",
     "eval.csv": "3f436ada28b6178c",
 }
 

@@ -1,6 +1,7 @@
 """Replay memory, TD targets, exploration, loss, freezing schedule, training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -410,38 +411,52 @@ def test_make_rngs_named_streams_deterministic():
 
 
 def small_train_cfg(**kw):
-    base = dict(total_steps=400, pretrain_steps=200, target_sync_every=100,
-                checkpoint_schedule=[200, 400], batch_size=16,
+    """1000 steps with pretrain 500: at seeds 0 and 9 the buffer first holds
+    a batch before step 500, so both stages take gradient steps."""
+    base = dict(total_steps=1000, pretrain_steps=500, target_sync_every=100,
+                checkpoint_schedule=[500, 1000], batch_size=16,
                 buffer_capacity=1000, loss_log_every=20, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
 
+def run_trained(cfg: TrainConfig, **kw):
+    """run_training that must raise no RuntimeWarning, log a loss in each
+    stage and close at least one episode."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_training(cfg, WorldConfig(), **kw)
+    logged = [step for step, loss in result.loss_rows if loss is not None]
+    assert logged and logged[0] <= cfg.pretrain_steps < logged[-1]
+    assert result.episode_rows
+    return result
+
+
 def test_run_training_loss_row_count():
-    result = run_training(small_train_cfg(), WorldConfig())
-    assert len(result.loss_rows) == 400 // 20
-    assert [s for s, _ in result.loss_rows] == list(range(20, 401, 20))
+    result = run_trained(small_train_cfg())
+    assert len(result.loss_rows) == 1000 // 20
+    assert [s for s, _ in result.loss_rows] == list(range(20, 1001, 20))
 
 
 def test_run_training_checkpoint_hook_fires_on_schedule():
     seen = []
-    run_training(small_train_cfg(), WorldConfig(),
-                 checkpoint_hook=lambda step, state: seen.append(step))
-    assert seen == [200, 400]
+    run_trained(small_train_cfg(),
+                checkpoint_hook=lambda step, params: seen.append(step))
+    assert seen == [500, 1000]
 
 
 def test_run_training_deterministic():
-    a = run_training(small_train_cfg(seed=9), WorldConfig())
-    b = run_training(small_train_cfg(seed=9), WorldConfig())
+    a = run_trained(small_train_cfg(seed=9))
+    b = run_trained(small_train_cfg(seed=9))
     assert a.loss_rows == b.loss_rows
     assert [(e.vehicle_id, e.R, e.outcome) for e in a.episode_rows] == \
         [(e.vehicle_id, e.R, e.outcome) for e in b.episode_rows]
 
 
 def test_run_training_rewards_nonpositive():
-    result = run_training(small_train_cfg(seed=2, total_steps=600,
-                                          checkpoint_schedule=[600]),
-                          WorldConfig())
+    # seed 2 first holds a batch at step 647, so its pretrain runs to 700
+    result = run_trained(small_train_cfg(seed=2, pretrain_steps=700,
+                                         checkpoint_schedule=[1000]))
     for ep in result.episode_rows:
         assert ep.R_acce <= 0 and ep.R_rate <= 0 and ep.R_dev <= 0
         assert ep.R == ep.R_acce + ep.R_rate + ep.R_dev

@@ -291,7 +291,7 @@ def test_params_copy_independent():
 
 def test_params_span_layout():
     params = NafParams.init(0, hidden=(8,))
-    n = params.v_net.param_count()
+    n = params.v_net.flat.size
     assert params.flat.shape == (5 * n,)
     assert params.span(*NafParams.MU_NET_NAMES) == slice(0, 3 * n)
     assert params.span("m_net", "v_net") == slice(3 * n, 5 * n)

@@ -5,7 +5,7 @@ import pytest
 
 from nafdrive.errors import ConfigurationError, ContractError, NumericalError
 from nafdrive.netcore import (Network, adaptive_update, finite_diff_check,
-                              net_backward, net_forward, net_init)
+                              net_backward, net_forward, net_init, param_count)
 
 
 def sum_objective(net, x):
@@ -39,7 +39,8 @@ def test_views_share_the_flat_vector():
 
 def test_init_param_count():
     net = net_init([6, 64, 64, 1], seed=0)
-    assert net.param_count() == 6 * 64 + 64 + 64 * 64 + 64 + 64 * 1 + 1 == 4673
+    assert net.flat.size == param_count([6, 64, 64, 1]) == \
+        6 * 64 + 64 + 64 * 64 + 64 + 64 * 1 + 1 == 4673
 
 
 def test_init_deterministic():
@@ -123,7 +124,7 @@ def test_backward_batch_accumulates():
     X = np.random.default_rng(1).normal(size=(6, 3))
     _, cache = net_forward(net, X)
     g_all, _ = net_backward(net, cache, np.ones((6, 1)))
-    acc = np.zeros(net.param_count())
+    acc = np.zeros(net.flat.size)
     for i in range(6):
         _, c = net_forward(net, X[i])
         acc += net_backward(net, c, np.ones(1))[0]
@@ -133,11 +134,11 @@ def test_backward_batch_accumulates():
 def test_backward_writes_into_out():
     net = net_init([3, 4, 1], seed=2)
     _, cache = net_forward(net, np.ones(3))
-    out = np.full(net.param_count(), np.nan)
+    out = np.full(net.flat.size, np.nan)
     grad, _ = net_backward(net, cache, np.ones(1), out)
     assert grad is out and np.all(np.isfinite(out))
     with pytest.raises(ContractError):
-        net_backward(net, cache, np.ones(1), np.empty(net.param_count() + 1))
+        net_backward(net, cache, np.ones(1), np.empty(net.flat.size + 1))
 
 
 def test_backward_stale_cache_rejected():
@@ -170,7 +171,7 @@ def test_finite_diff_detects_corrupted_gradient():
 
 
 def adam_state(net):
-    return np.zeros(net.param_count()), np.zeros(net.param_count())
+    return np.zeros(net.flat.size), np.zeros(net.flat.size)
 
 
 def test_adam_zero_gradients_keep_parameters():
@@ -205,10 +206,3 @@ def test_adam_rejects_nonfinite_gradient():
     grad[0] = np.nan
     with pytest.raises(NumericalError):
         adaptive_update(net.flat, grad, m, v, 0, lr=0.01)
-
-
-def test_copy_is_independent():
-    net = net_init([2, 3, 1], seed=0)
-    dup = net.copy()
-    net.weights[0][0, 0] += 1.0
-    assert dup.weights[0][0, 0] != net.weights[0][0, 0]
