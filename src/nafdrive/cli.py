@@ -1,10 +1,13 @@
 """Command-line entry points: train, eval, trace, checkgrad.
 
 Configuration and checkpoints are canonical JSON (sorted keys, explicit
-floats) so runs are byte-reproducible and files diff cleanly.  Every
-physics constant must be present in the config; there are no silent
-defaults.  Checkpoints embed a digest of the physics portion of the
-config and refuse to run against a different one unless --force is given.
+floats) so runs are byte-reproducible and files diff cleanly.  Each config
+section holds the fields of one dataclass (`SECTIONS`), which declares
+their names and defaults; `default_config_dict` fills them from those
+defaults.  A config must give every field and no other key, so there are
+no silent defaults and no ignored typos.  Checkpoints embed a digest of
+the physics portion of the config and refuse to run against a different
+one unless --force is given.
 """
 
 from __future__ import annotations
@@ -15,33 +18,36 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .learner import TrainConfig, batch_loss, make_rngs, run_training
+from .learner import TrainConfig, batch_loss, make_rngs, run_training, td_targets
 from .longitudinal import IdmParams
-from .nafq import NafParams, RlState, greedy_policy, q_gradients_batch, q_value
+from .nafq import (NafParams, RlState, fit_gradients, greedy_policy,
+                   q_gradients_batch, q_value)
 from .netcore import finite_diff_check, net_backward, net_forward, net_init
 from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
 CHECKPOINT_VERSION = 3
 
-CONFIG_SCHEMA = {
-    "seed": None,
-    "train": ["dt", "learning_rate", "gamma", "batch_size", "target_sync_every",
-              "pretrain_steps", "total_steps", "checkpoint_schedule",
-              "sigma_start", "sigma_end", "buffer_capacity", "loss_log_every"],
-    "road": ["lanes", "lane_width", "length", "curvature_profile"],
-    "traffic": ["depart_min", "depart_max", "init_speed_min", "init_speed_max",
-                "desired_speed_min", "desired_speed_max", "trigger_station",
-                "change_prob_left", "change_prob_right", "entry_clear_zone"],
-    "reward": ["w_acce", "w_rate", "w_dev", "d_avg"],
-    "idm": ["s0", "T", "a_m", "b", "delta", "v0", "b_max"],
-    "naf": ["a_cap", "t_min", "t_max", "m_eps"],
-    "sim": ["episode_cap_steps", "sensing_range", "lane_changes_enabled",
-            "strict"],
+
+def _carried(cls, *skip) -> tuple:
+    """The init fields of `cls` that its config section holds."""
+    return tuple(f for f in fields(cls) if f.init and f.name not in skip)
+
+
+# config section -> the dataclass fields it holds; each name and default is
+# declared once, in its dataclass
+SECTIONS = {
+    "train": _carried(TrainConfig, "seed"),
+    "road": _carried(RoadSpec),
+    "traffic": _carried(TrafficConfig),
+    "reward": _carried(RewardWeights),
+    "idm": _carried(IdmParams),
+    "naf": _carried(NafParams, "layer_dims", "flat"),
+    "sim": _carried(WorldConfig, "road", "traffic", "rewards", "idm"),
 }
 
 
@@ -55,68 +61,45 @@ class RunConfig:
 
 
 def default_config_dict(seed: int = 0) -> dict:
-    """Full config with the default hyperparameters; handy starting point."""
-    return {
-        "seed": seed,
-        "train": {
-            "dt": 0.1, "learning_rate": 0.0005, "gamma": 0.95, "batch_size": 64,
-            "target_sync_every": 1000, "pretrain_steps": 200000,
-            "total_steps": 400000,
-            "checkpoint_schedule": [40000 * k for k in range(1, 11)],
-            "sigma_start": 0.1, "sigma_end": 0.01,
-            "buffer_capacity": 1000, "loss_log_every": 20,
-        },
-        "road": {"lanes": 3, "lane_width": 3.75, "length": 1000.0,
-                 "curvature_profile": []},
-        "traffic": {
-            "depart_min": 5.0, "depart_max": 10.0,
-            "init_speed_min": 30.0 / 3.6, "init_speed_max": 50.0 / 3.6,
-            "desired_speed_min": 80.0 / 3.6, "desired_speed_max": 120.0 / 3.6,
-            "trigger_station": 150.0,
-            "change_prob_left": 1.0 / 6.0, "change_prob_right": 1.0 / 6.0,
-            "entry_clear_zone": 15.0,
-        },
-        "reward": {"w_acce": 2.0, "w_rate": 0.5, "w_dev": 0.05, "d_avg": 1.875},
-        "idm": {"s0": 5.0, "T": 1.0, "a_m": 2.0, "b": 1.5, "delta": 4.0,
-                "v0": 120.0 / 3.6, "b_max": 9.0},
-        "naf": {"a_cap": 0.6, "t_min": 0.5, "t_max": 10.0, "m_eps": 1e-3},
-        "sim": {"episode_cap_steps": 300, "sensing_range": 150.0,
-                "lane_changes_enabled": True, "strict": False},
-    }
+    """Full config with the dataclass defaults; handy starting point."""
+    data = {"seed": seed}
+    for section, carried in SECTIONS.items():
+        data[section] = {f.name: f.default if f.default_factory is MISSING
+                         else f.default_factory() for f in carried}
+    return data
 
 
-def _check_schema(data: dict):
-    for section, fields in CONFIG_SCHEMA.items():
-        if section not in data:
-            raise ConfigurationError(f"missing config section: {section}")
-        if fields is None:
-            continue
-        for name in fields:
-            if name not in data[section]:
-                raise ConfigurationError(f"missing config field: {section}.{name}")
+def _section(data: dict, section: str) -> dict:
+    """The section's values, which must name exactly its fields."""
+    if section not in data:
+        raise ConfigurationError(f"missing config section: {section}")
+    values = data[section]
+    names = [f.name for f in SECTIONS[section]]
+    for key in values:
+        if key not in names:
+            raise ConfigurationError(f"unknown config field: {section}.{key}")
+    for name in names:
+        if name not in values:
+            raise ConfigurationError(f"missing config field: {section}.{name}")
+    return dict(values)
 
 
 def parse_config(data: dict) -> RunConfig:
-    _check_schema(data)
-    train = TrainConfig(seed=data["seed"], **data["train"]).validate()
-    road = RoadSpec(
-        lanes=data["road"]["lanes"],
-        lane_width=data["road"]["lane_width"],
-        length=data["road"]["length"],
-        curvature_profile=[tuple(seg) for seg in data["road"]["curvature_profile"]],
-    )
-    world = WorldConfig(
-        road=road,
-        traffic=TrafficConfig(**data["traffic"]),
-        rewards=RewardWeights(**data["reward"]),
-        idm=IdmParams(**data["idm"]),
-        episode_cap_steps=data["sim"]["episode_cap_steps"],
-        sensing_range=data["sim"]["sensing_range"],
-        lane_changes_enabled=data["sim"]["lane_changes_enabled"],
-        strict=data["sim"]["strict"],
-    )
-    return RunConfig(seed=data["seed"], train=train, world=world,
-                     naf_constants=dict(data["naf"]), raw=data)
+    if "seed" not in data:
+        raise ConfigurationError("missing config section: seed")
+    for key in data:
+        if key != "seed" and key not in SECTIONS:
+            raise ConfigurationError(f"unknown config section: {key}")
+    sec = {section: _section(data, section) for section in SECTIONS}
+    road = sec["road"]
+    road["curvature_profile"] = [tuple(seg) for seg in road["curvature_profile"]]
+    world = WorldConfig(road=RoadSpec(**road),
+                        traffic=TrafficConfig(**sec["traffic"]),
+                        rewards=RewardWeights(**sec["reward"]),
+                        idm=IdmParams(**sec["idm"]), **sec["sim"])
+    return RunConfig(seed=data["seed"],
+                     train=TrainConfig(seed=data["seed"], **sec["train"]).validate(),
+                     world=world, naf_constants=sec["naf"], raw=data)
 
 
 def load_config(path: str, seed_override=None) -> RunConfig:
@@ -131,8 +114,7 @@ def config_digest(data: dict) -> str:
     """Digest of the physics portion of the config (seed and training-length
     knobs excluded, so evaluation of a checkpoint under the same physics
     but a different seed is legitimate)."""
-    physics = {section: data[section]
-               for section in ("road", "traffic", "reward", "idm", "naf", "sim")}
+    physics = {section: data[section] for section in SECTIONS if section != "train"}
     physics["dt"] = data["train"]["dt"]
     blob = json.dumps(physics, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -165,8 +147,7 @@ def _params_to_json(p: NafParams) -> dict:
     return {
         "layer_dims": list(p.layer_dims),
         "flat": p.flat.tolist(),
-        "constants": {"a_cap": p.a_cap, "t_min": p.t_min,
-                      "t_max": p.t_max, "m_eps": p.m_eps},
+        "constants": {f.name: getattr(p, f.name) for f in SECTIONS["naf"]},
     }
 
 
@@ -200,12 +181,26 @@ def load_checkpoint(path: str) -> dict:
     }
 
 
-def _check_digest(ck: dict, cfg: RunConfig, force: bool):
-    expected = config_digest(cfg.raw)
-    if ck["config_digest"] != expected and not force:
+def _load_policy(checkpoint_path: str, config_path: str,
+                 force: bool) -> tuple[RunConfig, NafParams]:
+    """The config and the checkpoint's parameters with the config's head
+    constants set; refuses a checkpoint trained under other physics unless
+    forced."""
+    cfg = load_config(config_path)
+    ck = load_checkpoint(checkpoint_path)
+    if ck["config_digest"] != config_digest(cfg.raw) and not force:
         raise ConfigurationError(
             "checkpoint was trained under different physics constants "
             "(config digest mismatch); pass --force to override")
+    params = ck["params"]
+    for f in SECTIONS["naf"]:
+        setattr(params, f.name, cfg.naf_constants[f.name])
+    return cfg, params
+
+
+# what eval and trace report as `error:` with exit status 2
+_RUN_ERRORS = (ConfigurationError, OSError, json.JSONDecodeError, KeyError,
+               RuntimeError)
 
 
 # -- CSV writers (full 64-bit round-trip precision)
@@ -273,13 +268,6 @@ def cmd_train(config_path: str, out_dir: str, seed_override=None) -> int:
     return status
 
 
-def _apply_constants(params: NafParams, constants: dict):
-    params.a_cap = constants["a_cap"]
-    params.t_min = constants["t_min"]
-    params.t_max = constants["t_max"]
-    params.m_eps = constants["m_eps"]
-
-
 def run_eval_episodes(params: NafParams, world_cfg: WorldConfig, dt: float,
                       n_episodes: int, seed: int, max_steps: int = 500_000):
     """Greedy rollouts until n_episodes lane changes finish."""
@@ -299,14 +287,9 @@ def run_eval_episodes(params: NafParams, world_cfg: WorldConfig, dt: float,
 def cmd_eval(checkpoint_path: str, config_path: str, episodes: int, seed: int,
              out_path: str, force: bool = False) -> int:
     try:
-        cfg = load_config(config_path)
-        ck = load_checkpoint(checkpoint_path)
-        _check_digest(ck, cfg, force)
-        params = ck["params"]
-        _apply_constants(params, cfg.naf_constants)
+        cfg, params = _load_policy(checkpoint_path, config_path, force)
         eps = run_eval_episodes(params, cfg.world, cfg.train.dt, episodes, seed)
-    except (ConfigurationError, OSError, json.JSONDecodeError, KeyError,
-            RuntimeError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [_episode_row(ep) for ep in eps]
@@ -359,14 +342,9 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
 def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
               force: bool = False) -> int:
     try:
-        cfg = load_config(config_path)
-        ck = load_checkpoint(checkpoint_path)
-        _check_digest(ck, cfg, force)
-        params = ck["params"]
-        _apply_constants(params, cfg.naf_constants)
+        cfg, params = _load_policy(checkpoint_path, config_path, force)
         rows = run_trace(params, cfg.world, cfg.train.dt, seed)
-    except (ConfigurationError, OSError, json.JSONDecodeError, KeyError,
-            RuntimeError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_csv(out_path, TRACE_HEADER, rows)
@@ -412,10 +390,10 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
                      0.0 if rng.uniform() < 0.2 else 1.0))
     # (states, actions, next_states, rewards, nonterminal)
     batch = tuple(np.array(column) for column in zip(*rows))
-    states, actions = batch[0], batch[1]
-    _, errors = batch_loss(batch, params, target, 0.95)
-    coeffs = (2.0 / len(actions)) * (-errors)  # errors are target - Q
-    loss_grad, _ = q_gradients_batch(states, actions, coeffs, params)
+    # the gradient train_step takes, against the loss it descends
+    states, actions, next_states, rewards, nonterminal = batch
+    targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
+    _, loss_grad = fit_gradients(states, actions, targets, params)
     loss_err = finite_diff_check(lambda: batch_loss(batch, params, target, 0.95)[0],
                                  params.flat, loss_grad, h)
 

@@ -102,7 +102,8 @@ class TrainConfig:
         return self
 
 
-def _targets(next_states, rewards, nonterminal, target_params, gamma):
+def td_targets(next_states, rewards, nonterminal, target_params, gamma):
+    """r + gamma * V(s') under the frozen target value net; zero V at terminals."""
     v_next, _ = net_forward(target_params.v_net, next_states)
     return rewards + gamma * nonterminal * v_next[:, 0]
 
@@ -114,7 +115,7 @@ def batch_loss(batch, params: NafParams, target_params: NafParams, gamma: float)
     states, actions, next_states, rewards, nonterminal = batch
     if not len(actions):
         raise ContractError("empty batch")
-    targets = _targets(next_states, rewards, nonterminal, target_params, gamma)
+    targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
     q, _ = q_values_batch(states, actions, params)
     errors = targets - q
     return float(np.mean(errors**2)), errors
@@ -131,7 +132,7 @@ def train_step(params: NafParams, target_params: NafParams, batch,
     if stage not in STAGE_SLICES:
         raise ConfigurationError(f"unknown stage {stage!r}")
     states, actions, next_states, rewards, nonterminal = batch
-    targets = _targets(next_states, rewards, nonterminal, target_params, gamma)
+    targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
 
     # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta,
     # backpropagated only through the nets this stage steps

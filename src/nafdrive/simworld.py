@@ -89,7 +89,7 @@ class VehicleState:
     # simulator bookkeeping
     original_lane: int = -1
     pending_target: int | None = None
-    idm: IdmParams | None = None  # cached params with this vehicle's v0
+    idm: IdmParams | None = None  # the world's IDM params with this v0
     occupancy: int = -1  # lane holding d, as of the last lane index
     trigger_drawn: bool = False
     episode: "EpisodeMetrics | None" = None
@@ -339,7 +339,7 @@ class World:
             target = veh.pending_target
             assessment = gap_acceptable(
                 veh.v,
-                veh.idm or replace(self.cfg.idm, v0=veh.v0),
+                veh.idm,
                 self._leader(lane_lists, target, veh.station, veh.id),
                 self._follower(lane_lists, target, veh.station, veh.id),
             )
@@ -353,7 +353,7 @@ class World:
                 veh.episode_steps = 0
 
     def _longitudinal(self, lane_lists, veh: VehicleState, faults: list[str]) -> float:
-        p = veh.idm or replace(self.cfg.idm, v0=veh.v0)
+        p = veh.idm
         occ = veh.occupancy  # d has not changed since `lane_lists` was built
         try:
             if veh.maneuver == "keeping":
@@ -426,7 +426,7 @@ class World:
             if veh.maneuver == "changing":
                 assessment = gap_acceptable(
                     veh.v,
-                    veh.idm or replace(cfg.idm, v0=veh.v0),
+                    veh.idm,
                     self._leader(post_lists, veh.target_lane, veh.station, veh.id),
                     self._follower(post_lists, veh.target_lane, veh.station, veh.id),
                 )

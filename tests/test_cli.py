@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +13,9 @@ from nafdrive.cli import (CHECKPOINT_VERSION, checkgrad_suite, cmd_checkgrad,
                           config_digest, default_config_dict, load_checkpoint,
                           load_config, main, parse_config, save_checkpoint)
 from nafdrive.errors import ConfigurationError, NumericalError
-from nafdrive.learner import make_rngs
-from nafdrive.nafq import NafParams
+from nafdrive.learner import TrainConfig, make_rngs
+from nafdrive.nafq import A_CAP, M_EPS, T_MAX, T_MIN, NafParams
+from nafdrive.simworld import WorldConfig
 
 
 def desk_config(seed=0):
@@ -39,6 +41,15 @@ def test_default_config_parses():
     assert cfg.train.gamma == 0.95
     assert cfg.world.road.lane_width == 3.75
     assert cfg.naf_constants["a_cap"] == 0.6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_config_is_the_dataclass_defaults(seed):
+    cfg = parse_config(default_config_dict(seed))
+    assert cfg.train == TrainConfig(seed=seed)
+    assert cfg.world == WorldConfig()
+    assert cfg.naf_constants == {"a_cap": A_CAP, "t_min": T_MIN,
+                                 "t_max": T_MAX, "m_eps": M_EPS}
 
 
 def test_missing_field_named_in_error():
@@ -212,6 +223,30 @@ def trained_run(tmp_path_factory):
     out = str(tmp / "run")
     assert main(["train", "--config", cfg_path, "--out", out]) == 0
     return cfg_path, out
+
+
+@pytest.mark.parametrize("section", [None, "train", "road", "traffic",
+                                     "reward", "idm", "naf", "sim"])
+def test_unknown_key_rejected(section, trained_run, tmp_path, capsys):
+    data = desk_config()
+    if section is None:
+        data["gama"] = 0.99
+        name = "gama"
+    else:
+        data[section]["gama"] = 0.99
+        name = f"{section}.gama"
+    with pytest.raises(ConfigurationError, match=re.escape(name)):
+        parse_config(data)
+    cfg_path = write_config(tmp_path, data)
+    ck = os.path.join(trained_run[1], "checkpoint_00000600.json")
+    out = tmp_path / "out"
+    for argv in (["train", "--out", str(out)],
+                 ["eval", "--checkpoint", ck, "--episodes", "1", "--out", str(out)],
+                 ["trace", "--checkpoint", ck, "--out", str(out)]):
+        assert main([*argv, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+    assert not out.exists()
 
 
 # -- eval command

@@ -9,9 +9,9 @@ import pytest
 from nafdrive import nafq
 from nafdrive.errors import ConfigurationError, ContractError, NumericalError
 from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
-                              _targets, batch_loss, explore_actions, make_rngs,
+                              batch_loss, explore_actions, make_rngs,
                               opt_states_init, run_training, sigma_at,
-                              sync_target, train_step)
+                              sync_target, td_targets, train_step)
 from nafdrive.nafq import (A_CAP, NafParams, RlState, fit_gradients, greedy_action,
                            greedy_actions_batch, q_value)
 from nafdrive.simworld import WorldConfig
@@ -171,20 +171,20 @@ def test_train_step_on_ring_sample_matches_stacked_states():
 
 def test_td_target_terminal_is_reward():
     _, _, next_states, rewards, nonterminal = terminal_batch(-0.5)
-    targets = _targets(next_states, rewards, nonterminal, const_params(-2.0), 0.95)
+    targets = td_targets(next_states, rewards, nonterminal, const_params(-2.0), 0.95)
     assert targets[0] == -0.5
 
 
 def test_td_target_zero_gamma_is_reward():
-    targets = _targets(np.zeros((1, 6)), np.array([-0.7]), np.ones(1),
-                       const_params(-2.0), 0.0)
+    targets = td_targets(np.zeros((1, 6)), np.array([-0.7]), np.ones(1),
+                         const_params(-2.0), 0.0)
     assert targets[0] == -0.7
 
 
 def test_td_target_hand_case():
     # r = -0.5, gamma = 0.95, V(s') = -2  ->  -2.4
-    targets = _targets(np.zeros((1, 6)), np.array([-0.5]), np.ones(1),
-                       const_params(-2.0), 0.95)
+    targets = td_targets(np.zeros((1, 6)), np.array([-0.5]), np.ones(1),
+                         const_params(-2.0), 0.95)
     assert targets[0] == pytest.approx(-2.4, abs=1e-12)
 
 
@@ -298,7 +298,7 @@ def test_head_adam_step_count_starts_at_joint_stage():
     head = params.span(*NafParams.MU_NET_NAMES)
     before = params.flat[head].copy()
     states, actions, next_states, rewards, nonterminal = batch
-    targets = _targets(next_states, rewards, nonterminal, target, 0.95)
+    targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
     _, grad = fit_gradients(states, actions, targets, params)
     g = np.abs(grad[head])
     lr = 0.001

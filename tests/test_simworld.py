@@ -1,7 +1,7 @@
 """Highway environment: kinematics, rewards, traffic generation, episodes."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ def make_vehicle(world, *, lane=1, target=None, station=200.0, v=15.0,
         d=road.center(lane) if d is None else d,
         v=v, a_lng=0.0, theta=theta, omega=omega, lane=lane,
         target_lane=lane if target is None else target,
-        maneuver=maneuver, v0=30.0,
+        maneuver=maneuver, v0=30.0, idm=replace(world.cfg.idm, v0=30.0),
     )
     world._next_id += 1
     if maneuver != "keeping":
