@@ -11,7 +11,7 @@ Run:  python3 demos/small_training_run.py        (about a minute)
 import numpy as np
 
 from nafdrive.learner import TrainConfig, make_rngs, run_training
-from nafdrive.nafq import NafParams, RlState, mu_action
+from nafdrive.nafq import Heads, NafParams, RlState
 from nafdrive.simworld import WorldConfig
 
 
@@ -42,11 +42,10 @@ def main():
     initial = NafParams.init(make_rngs(cfg.seed)["init"])
     s = RlState(v=20.0, a_lng=0.0, delta_d_lat=-1.875, theta=0.0, omega=0.0,
                 c=0.0)
-    a0, h0 = mu_action(s, initial)
-    a1, h1 = mu_action(s, result.params)
     print("\ngreedy head at a representative state (half-lane deviation):")
-    print(f"  initial: a_max {h0.a_max:.4f}  mu {a0:+.5f}")
-    print(f"  trained: a_max {h1.a_max:.4f}  mu {a1:+.5f}")
+    for label, params in (("initial", initial), ("trained", result.params)):
+        h = Heads(params, [s], NafParams.MU_NET_NAMES)
+        print(f"  {label}: a_max {h.a_max[0]:.4f}  mu {h.mu[0]:+.5f}")
 
 
 if __name__ == "__main__":

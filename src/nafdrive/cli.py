@@ -4,10 +4,10 @@ Configuration and checkpoints are canonical JSON (sorted keys, explicit
 floats) so runs are byte-reproducible and files diff cleanly.  Each config
 section holds the fields of one dataclass (`SECTIONS`), which declares
 their names and defaults; `default_config_dict` fills them from those
-defaults.  A config must give every field and no other key, so there are
-no silent defaults and no ignored typos.  Checkpoints embed a digest of
-the physics portion of the config and refuse to run against a different
-one unless --force is given.
+defaults.  A config must give every field, each a value of the field's
+type, and no other key, so there are no silent defaults and no ignored
+typos.  Checkpoints embed a digest of the physics portion of the config
+and refuse to run against a different one unless --force is given.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -26,29 +27,31 @@ from .errors import ConfigurationError
 from .learner import TrainConfig, batch_loss, make_rngs, run_training, td_targets
 from .longitudinal import IdmParams
 from .nafq import (NafParams, RlState, fit_gradients, greedy_policy,
-                   q_gradients_batch, q_value)
+                   q_gradients_batch, q_values_batch)
 from .netcore import finite_diff_check, net_backward, net_forward, net_init
 from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
 CHECKPOINT_VERSION = 3
 
 
-def _carried(cls, *skip) -> tuple:
-    """The init fields of `cls` that its config section holds."""
-    return tuple(f for f in fields(cls) if f.init and f.name not in skip)
-
-
-# config section -> the dataclass fields it holds; each name and default is
-# declared once, in its dataclass
-SECTIONS = {
-    "train": _carried(TrainConfig, "seed"),
-    "road": _carried(RoadSpec),
-    "traffic": _carried(TrafficConfig),
-    "reward": _carried(RewardWeights),
-    "idm": _carried(IdmParams),
-    "naf": _carried(NafParams, "layer_dims", "flat"),
-    "sim": _carried(WorldConfig, "road", "traffic", "rewards", "idm"),
+# config section -> its dataclass and the fields it leaves out; each name,
+# type and default is declared once, in its dataclass
+_SECTION_CLASSES = {
+    "train": (TrainConfig, "seed"),
+    "road": (RoadSpec,),
+    "traffic": (TrafficConfig,),
+    "reward": (RewardWeights,),
+    "idm": (IdmParams,),
+    "naf": (NafParams, "layer_dims", "flat"),
+    "sim": (WorldConfig, "road", "traffic", "rewards", "idm"),
 }
+# config section -> the init fields of its dataclass that it holds
+SECTIONS = {section: tuple(f for f in fields(cls) if f.init and f.name not in skip)
+            for section, (cls, *skip) in _SECTION_CLASSES.items()}
+# config section -> field name -> type; the modules postpone annotations, so
+# a field's own `type` is only the annotation's text
+_FIELD_TYPES = {section: typing.get_type_hints(cls)
+                for section, (cls, *_) in _SECTION_CLASSES.items()}
 
 
 @dataclass
@@ -69,24 +72,48 @@ def default_config_dict(seed: int = 0) -> dict:
     return data
 
 
+def _fits(value, tp) -> bool:
+    """Whether the JSON value `value` is of the field type `tp`.  A JSON int
+    fits a float field, but a bool fits neither an int nor a float field."""
+    if tp in (int, float):
+        return isinstance(value, (int, tp)) and not isinstance(value, bool)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_fits(v, t) for v, t in zip(value, args)))
+    return isinstance(value, tp)
+
+
 def _section(data: dict, section: str) -> dict:
-    """The section's values, which must name exactly its fields."""
+    """The section's values, which must name exactly its fields, each with
+    a value of the field's type."""
     if section not in data:
         raise ConfigurationError(f"missing config section: {section}")
     values = data[section]
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"config section {section} must be an object")
     names = [f.name for f in SECTIONS[section]]
     for key in values:
         if key not in names:
             raise ConfigurationError(f"unknown config field: {section}.{key}")
-    for name in names:
-        if name not in values:
-            raise ConfigurationError(f"missing config field: {section}.{name}")
+    for f in SECTIONS[section]:
+        if f.name not in values:
+            raise ConfigurationError(f"missing config field: {section}.{f.name}")
+        if not _fits(values[f.name], _FIELD_TYPES[section][f.name]):
+            raise ConfigurationError(f"config field {section}.{f.name} must be "
+                                     f"{f.type}, not {values[f.name]!r}")
     return dict(values)
 
 
 def parse_config(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ConfigurationError("config must be a JSON object")
     if "seed" not in data:
         raise ConfigurationError("missing config section: seed")
+    if not _fits(data["seed"], int):
+        raise ConfigurationError(f"config section seed must be int, not {data['seed']!r}")
     for key in data:
         if key != "seed" and key not in SECTIONS:
             raise ConfigurationError(f"unknown config section: {key}")
@@ -363,9 +390,9 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     rng = np.random.default_rng(seed)
 
     net = net_init([3, 8, 1], rng)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     y, cache = net_forward(net, x)
-    net_grad, _ = net_backward(net, cache, np.ones_like(y))
+    net_grad = net_backward(net, cache, np.ones_like(y))
     net_err = finite_diff_check(lambda: float(np.sum(net_forward(net, x)[0])),
                                 net.flat, net_grad, h)
 
@@ -374,11 +401,11 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     state_arr[0] = abs(state_arr[0]) * 10  # plausible speed
     state = RlState(*state_arr)
     a_yaw = float(rng.uniform(-0.5, 0.5))
-    grad, _ = q_gradients_batch(state, [a_yaw], [1.0], params)
+    grad, _ = q_gradients_batch([state], [a_yaw], [1.0], params)
     if inject_fault:
         grad[params.span("m_net").start] *= 1.10  # first weight of m_net
-    q_err = finite_diff_check(lambda: q_value(state, a_yaw, params),
-                              params.flat, grad, h)
+    q_err = finite_diff_check(
+        lambda: q_values_batch([state], [a_yaw], params)[0][0], params.flat, grad, h)
 
     # loss gradients on a small random batch
     target = NafParams.init(rng, hidden=(8,))

@@ -149,11 +149,6 @@ def train_step(params: NafParams, target_params: NafParams, batch,
     return loss
 
 
-def sync_target(params: NafParams) -> NafParams:
-    """Bit-exact copy of the online parameters for target computation."""
-    return params.copy()
-
-
 def opt_states_init(params: NafParams) -> OptState:
     return OptState(np.zeros_like(params.flat), np.zeros_like(params.flat),
                     dict.fromkeys(ADAM_SLICES, 0))
@@ -188,7 +183,6 @@ class TrainResult:
     params: NafParams
     loss_rows: list[tuple[int, float | None]]
     episode_rows: list[EpisodeMetrics]
-    faults: list[str]
 
 
 def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
@@ -213,7 +207,7 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     train_cfg.validate()
     rngs = make_rngs(train_cfg.seed)
     params = NafParams.init(rngs["init"], **(naf_constants or {}))
-    target_params = sync_target(params)
+    target_params = params.copy()
     opt_states = opt_states_init(params)
     buffer = ReplayBuffer(train_cfg.buffer_capacity)
     world = World(world_cfg, rngs["spawn"], rngs["trigger"])
@@ -250,8 +244,8 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
         if step % train_cfg.loss_log_every == 0:
             loss_rows.append((step, last_loss))
         if step % train_cfg.target_sync_every == 0:
-            target_params = sync_target(params)
+            target_params = params.copy()
         if step in schedule and checkpoint_hook is not None:
             checkpoint_hook(step, params)
 
-    return TrainResult(params, loss_rows, episode_rows, list(world.fault_log))
+    return TrainResult(params, loss_rows, episode_rows)

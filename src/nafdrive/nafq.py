@@ -44,16 +44,6 @@ class RlState(NamedTuple):
 
 
 @dataclass
-class HeadValues:
-    """Transformed head outputs, kept for logging and gradient reuse."""
-
-    a_max: float
-    beta_sen: float
-    t_trns: float
-    a_tmp: float
-
-
-@dataclass
 class NafParams:
     """The five networks behind Q plus the transform constants.
 
@@ -129,18 +119,19 @@ def _sigmoid(x):
                      for v in x.tolist()])
 
 
-class _Heads:
-    """Batched evaluation of the networks named in `nets` (all five by
-    default) with everything the gradient chain needs: raw outputs, caches,
-    and the transformed values of the nets evaluated.  mu and the deviation
-    features exist when the three head nets are among `nets`, m when
-    `m_net` is, v when `v_net` is.
-
-    `states` is one state, a list of states or an (n, 6) array.
+class Heads:
+    """Evaluation of the networks named in `nets` (all five by default) over
+    the rows of `states`, a list of states or an (n, 6) array, with
+    everything the gradient chain needs: raw outputs, caches, and the
+    transformed values of the nets evaluated, one entry per row.  The
+    greedy action `mu`, the head values `a_max`, `beta`, `t_trns`, `a_tmp`
+    and the deviation features exist when the three head nets are among
+    `nets`, the curvature `m` when `m_net` is, the value `v` when `v_net`
+    is.  A single state is a one-row batch.
     """
 
     def __init__(self, params: NafParams, states, nets=NafParams.NET_NAMES):
-        S = np.atleast_2d(np.asarray(states, dtype=float))
+        S = np.asarray(states, dtype=float)
         self.o = {}
         self.caches = {}
         for name in nets:
@@ -180,51 +171,18 @@ class _Heads:
             raise NumericalError("non-finite greedy action")
 
 
-def mu_action(state: RlState, params: NafParams):
-    """Greedy head: returns the yaw acceleration mu(s) and the head values."""
-    h = _Heads(params, state, NafParams.MU_NET_NAMES)
-    heads = HeadValues(
-        a_max=float(h.a_max[0]),
-        beta_sen=float(h.beta[0]),
-        t_trns=float(h.t_trns[0]),
-        a_tmp=float(h.a_tmp[0]),
-    )
-    return float(h.mu[0]), heads
-
-
-def m_value(state: RlState, params: NafParams) -> float:
-    """Strictly negative curvature of the quadratic advantage."""
-    h = _Heads(params, state, ("m_net",))
-    return float(h.m[0])
-
-
-def v_value(state: RlState, params: NafParams) -> float:
-    """State value: linear output of the value network."""
-    y, _ = net_forward(params.v_net, state)
-    return float(y[0])
-
-
-def q_value(state: RlState, a_yaw: float, params: NafParams) -> float:
-    h = _Heads(params, state)
-    diff = h.mu[0] - a_yaw
-    return float(h.m[0] * diff * diff + h.v[0])
-
-
 def q_values_batch(states, actions: np.ndarray, params: NafParams):
-    """Vectorized Q over the rows of `states` (n, 6) and `actions` (n,)."""
-    h = _Heads(params, states)
+    """Q over the rows of `states` (n, 6) and `actions` (n,), and the Heads
+    it was computed from."""
+    h = Heads(params, states)
     diff = h.mu - np.asarray(actions, dtype=float)
     return h.m * diff * diff + h.v, h
 
 
-def greedy_action(state: RlState, params: NafParams) -> float:
-    """Exact argmax of Q over actions; equals mu because the curvature is negative."""
-    return mu_action(state, params)[0]
-
-
 def greedy_actions_batch(states, params: NafParams) -> np.ndarray:
-    """mu(s) for every row of `states` (n, 6), from the three head nets."""
-    return _Heads(params, states, NafParams.MU_NET_NAMES).mu
+    """mu(s) for every row of `states` (n, 6), from the three head nets; the
+    exact argmax of Q over actions, because the curvature is negative."""
+    return Heads(params, states, NafParams.MU_NET_NAMES).mu
 
 
 def greedy_policy(params: NafParams):
@@ -237,7 +195,7 @@ def greedy_policy(params: NafParams):
     return policy
 
 
-def _q_upstreams(h: _Heads, params: NafParams, actions: np.ndarray, nets):
+def _q_upstreams(h: Heads, params: NafParams, actions: np.ndarray, nets):
     """Q per item, and per-item dQ/d(raw head output) for each network in
     `nets`, chaining through the quadratic form, the head transforms, tanh,
     and the transition-time dependency of a_tmp
@@ -268,15 +226,15 @@ def _q_upstreams(h: _Heads, params: NafParams, actions: np.ndarray, nets):
     return q, {name: upstream[name] for name in nets}
 
 
-def _weighted_backward(h: _Heads, params: NafParams, upstream: dict, coeffs):
+def _weighted_backward(h: Heads, params: NafParams, upstream: dict, coeffs):
     """Gradient of sum_i coeffs_i * Q_i through the networks `upstream`
     names, laid out like `params.flat`; the spans of the other nets are
     zero."""
     grad = np.zeros(params.flat.shape)
     for name, up_q in upstream.items():
         up = (coeffs * up_q)[:, None]
-        g, _ = net_backward(getattr(params, name), h.caches[name], up,
-                            grad[params.span(name)])
+        g = net_backward(getattr(params, name), h.caches[name], up,
+                         grad[params.span(name)])
         if not np.isfinite(g.sum()):
             raise NumericalError(f"non-finite gradient through {name}")
     return grad
@@ -290,7 +248,7 @@ def q_gradients_batch(states, actions, coeffs, params: NafParams):
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
     w = np.asarray(coeffs, dtype=float).reshape(-1)
-    h = _Heads(params, states)
+    h = Heads(params, states)
     q, upstream = _q_upstreams(h, params, a, NafParams.NET_NAMES)
     return _weighted_backward(h, params, upstream, w), q
 
@@ -307,7 +265,7 @@ def fit_gradients(states, actions, targets, params: NafParams,
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
     t = np.asarray(targets, dtype=float).reshape(-1)
-    h = _Heads(params, states)
+    h = Heads(params, states)
     q, upstream = _q_upstreams(h, params, a, nets)
     errors = q - t
     loss = float(np.mean(errors**2))

@@ -1,9 +1,10 @@
 """Small dense networks with hand-written reverse-mode gradients.
 
 Every network here is a fixed MLP: affine layers with tanh on the hidden
-layers and a linear output.  Forward passes accept a single input vector
-or a batch (n, d); gradients are accumulated over the batch.  All math is
-float64 so the finite-difference checks can be tight.
+layers and a linear output.  Forward passes take a batch (n, d), one input
+per row; gradients are with respect to the parameters only, accumulated
+over the batch.  All math is float64 so the finite-difference checks can
+be tight.
 
 A network's parameters are one flat vector, layer by layer: W_0 (row-major,
 (fan_out, fan_in)), b_0, W_1, b_1, ...  Gradients use the same layout, so
@@ -37,7 +38,6 @@ class Network:
     flat: np.ndarray
     weights: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out, fan_in)
     biases: list[np.ndarray] = field(init=False, repr=False)   # each (fan_out,)
-    n_layers: int = field(init=False, repr=False)
     # per layer: (weight slice, bias slice) of the flat layout
     layout: list[tuple[slice, slice]] = field(init=False, repr=False)
 
@@ -54,7 +54,6 @@ class Network:
             self.weights.append(self.flat[i:j].reshape(fan_out, fan_in))
             self.biases.append(self.flat[j:j + fan_out])
             i = j + fan_out
-        self.n_layers = len(self.layout)
 
 
 @dataclass
@@ -88,70 +87,61 @@ def net_init(layer_dims, seed, flat=None) -> Network:
 
 
 def net_forward(net: Network, x):
-    """Forward pass.  Returns (y, cache) with y matching the input's batch shape.
+    """Forward pass over the rows of the batch x (n, d).  Returns (y, cache)
+    with y of shape (n, out).
 
-    x may be (d,) or (n, d).  The cache stores each layer's input and the
-    hidden activations, which net_backward consumes.
+    The cache stores each layer's input and the hidden activations, which
+    net_backward consumes.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
+    h = np.asarray(x, dtype=float)
     if h.ndim != 2 or h.shape[1] != net.layer_dims[0]:
         raise ContractError(
-            f"input dim {x.shape} incompatible with layer_dims {net.layer_dims}"
+            f"input shape {h.shape} is not a batch of layer_dims {net.layer_dims}"
         )
+    last = len(net.layout) - 1
     inputs = []   # input to each affine layer
     acts = []     # tanh output of each hidden layer (None for the last, linear layer)
-    for k in range(net.n_layers):
+    for k in range(last + 1):
         inputs.append(h)
         h = h @ net.weights[k].T
         h += net.biases[k]
-        if k < net.n_layers - 1:
+        if k < last:
             np.tanh(h, out=h)
             acts.append(h)
         else:
             acts.append(None)
-    cache = (net.n_layers, inputs, acts)
-    y = h[0] if single else h
-    return y, cache
+    return h, (inputs, acts)
 
 
 def net_backward(net: Network, cache, upstream, out=None):
-    """Exact gradients of sum_i upstream_i . y_i w.r.t. parameters and input.
+    """Exact gradient of sum_i upstream_i . y_i w.r.t. the parameters.
 
-    `upstream` matches the forward output's shape ((out,) or (n, out)).
-    Batch items contribute additively to the parameter gradients, which
-    are written to the flat vector `out` (a new one when not given) in the
-    parameter layout.  Returns (out, input_grad); the input gradient keeps
-    the batch shape.
+    `upstream` has the forward output's shape (n, out).  Batch items
+    contribute additively; the gradient is written to the flat vector `out`
+    (a new one when not given) in the parameter layout, and returned.
     """
-    n_layers, inputs, acts = cache
-    if (n_layers != net.n_layers or len(inputs) != net.n_layers
+    inputs, acts = cache
+    if (len(inputs) != len(net.layout)
             or any(h.shape[1] != d
                    for h, d in zip(inputs, net.layer_dims[:-1]))):
         raise ContractError("cache does not match network")
-    upstream = np.asarray(upstream, dtype=float)
-    single = upstream.ndim == 1
-    delta = upstream[None, :] if single else upstream
+    delta = np.asarray(upstream, dtype=float)
     if delta.shape != (inputs[-1].shape[0], net.layer_dims[-1]):
         raise ContractError(
-            f"upstream shape {upstream.shape} incompatible with cached batch"
+            f"upstream shape {delta.shape} incompatible with cached batch"
         )
     if out is None:
         out = np.empty(net.flat.size)
     elif out.shape != net.flat.shape or not out.flags.c_contiguous:
         raise ContractError(
             f"gradient vector {out.shape} does not fit layer_dims {net.layer_dims}")
-    for k in range(net.n_layers - 1, -1, -1):
+    for k in range(len(net.layout) - 1, -1, -1):
         w, b = net.layout[k]
         np.matmul(delta.T, inputs[k], out=out[w].reshape(net.weights[k].shape))
         delta.sum(axis=0, out=out[b])
-        dx = delta @ net.weights[k]
         if k > 0:
-            dx = dx * (1.0 - acts[k - 1] ** 2)  # tanh'
-        delta = dx
-    input_grad = delta[0] if single else delta
-    return out, input_grad
+            delta = (delta @ net.weights[k]) * (1.0 - acts[k - 1] ** 2)  # tanh'
+    return out
 
 
 def finite_diff_check(objective, theta: np.ndarray, analytic, h: float = 1e-4) -> float:

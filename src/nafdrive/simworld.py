@@ -247,13 +247,13 @@ class World:
             lst.sort(key=_STATION)
         return lanes
 
-    def _leader(self, lane_lists, lane: int, station: float, exclude_id: int):
+    def _leader(self, lane_lists, lane: int, station: float):
         """(gap, v) of the nearest vehicle strictly ahead in `lane`, or None.
 
-        Contract: `station` and `exclude_id` are the ego's own station and
-        id, taken from the same world state as `lane_lists`.  The ego then
-        never stands strictly ahead of `station`, so the first vehicle past
-        it in the sorted lane is the leader.
+        Contract: `station` is the ego's own station, taken from the same
+        world state as `lane_lists`.  The ego then never stands strictly
+        ahead of `station`, so the first vehicle past it in the sorted lane
+        is the leader.
         """
         lst = lane_lists[lane]
         i = bisect_right(lst, station, key=_STATION)
@@ -268,10 +268,10 @@ class World:
     def _follower(self, lane_lists, lane: int, station: float, exclude_id: int):
         """(gap, v) of the nearest vehicle at or behind `station` in `lane`, or None.
 
-        Contract as for `_leader`.  When the ego is in `lane`, a vehicle at
-        exactly the ego's station counts as behind it only if it sorts
-        before the ego, so the follower is the vehicle just before the ego
-        in the sorted lane.
+        Contract as for `_leader`, and `exclude_id` is the ego's id.  When
+        the ego is in `lane`, a vehicle at exactly the ego's station counts
+        as behind it only if it sorts before the ego, so the follower is the
+        vehicle just before the ego in the sorted lane.
         """
         lst = lane_lists[lane]
         i = bisect_right(lst, station, key=_STATION)
@@ -340,7 +340,7 @@ class World:
             assessment = gap_acceptable(
                 veh.v,
                 veh.idm,
-                self._leader(lane_lists, target, veh.station, veh.id),
+                self._leader(lane_lists, target, veh.station),
                 self._follower(lane_lists, target, veh.station, veh.id),
             )
             if assessment.acceptable:
@@ -357,18 +357,14 @@ class World:
         occ = veh.occupancy  # d has not changed since `lane_lists` was built
         try:
             if veh.maneuver == "keeping":
-                leader = self._leader(lane_lists, occ, veh.station, veh.id)
+                leader = self._leader(lane_lists, occ, veh.station)
                 if leader is None:
                     return free_leader_accel(veh.v, p)
                 return idm_accel(veh.v, veh.v - leader[1], leader[0], p)
-            leaders = {occ: self._leader(lane_lists, occ, veh.station, veh.id)}
-            if veh.target_lane != occ:
-                leaders[veh.target_lane] = self._leader(
-                    lane_lists, veh.target_lane, veh.station, veh.id)
-            vals = list(leaders.values())
-            if len(vals) == 1:
-                vals.append(None)
-            return dual_leader_accel(veh.v, p, vals[0], vals[1])
+            own_leader = self._leader(lane_lists, occ, veh.station)
+            target_leader = (self._leader(lane_lists, veh.target_lane, veh.station)
+                             if veh.target_lane != occ else None)
+            return dual_leader_accel(veh.v, p, own_leader, target_leader)
         except ContractError:
             # non-positive gap: collision state; brake hard, record the fault
             faults.append(f"step {self.step_count}: vehicle {veh.id} gap<=0")
@@ -427,7 +423,7 @@ class World:
                 assessment = gap_acceptable(
                     veh.v,
                     veh.idm,
-                    self._leader(post_lists, veh.target_lane, veh.station, veh.id),
+                    self._leader(post_lists, veh.target_lane, veh.station),
                     self._follower(post_lists, veh.target_lane, veh.station, veh.id),
                 )
                 decision = monitor_step(veh.d, veh.original_lane, veh.target_lane,

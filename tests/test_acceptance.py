@@ -13,11 +13,10 @@ import pytest
 
 from nafdrive.cli import (checkgrad_suite, default_config_dict, main,
                           run_eval_episodes, run_trace)
-from nafdrive.learner import (TrainConfig, make_rngs, run_training,
-                              sync_target)
+from nafdrive.learner import TrainConfig, make_rngs, run_training
 from nafdrive.longitudinal import IdmParams, idm_accel
-from nafdrive.nafq import (A_CAP, NafParams, RlState, greedy_action, q_value,
-                           q_values_batch, v_value)
+from nafdrive.nafq import (A_CAP, NafParams, RlState, greedy_actions_batch,
+                           q_values_batch)
 from nafdrive.simworld import (RewardWeights, RoadSpec, World, WorldConfig,
                                immediate_reward)
 
@@ -57,9 +56,9 @@ def test_criterion_2_analytic_argmax():
     for _ in range(1000):
         params = NafParams.init(rng, hidden=(8,))
         s = random_state(rng)
-        mu = greedy_action(s, params)
-        q_star = q_value(s, mu, params)
-        worst_vertex = max(worst_vertex, abs(q_star - v_value(s, params)))
+        q_mu, heads = q_values_batch([s], greedy_actions_batch([s], params), params)
+        q_star = q_mu[0]
+        worst_vertex = max(worst_vertex, abs(q_star - heads.v[0]))
         states = np.tile(s, (len(grid), 1))
         qs, _ = q_values_batch(states, grid, params)
         worst_gap = max(worst_gap, float(qs.max()) - q_star)
@@ -107,10 +106,10 @@ def test_criterion_4_reward_oracle():
 
 def test_criterion_5_target_network_semantics():
     params = NafParams.init(np.random.default_rng(2))
-    target = sync_target(params)
+    target = params.copy()
     rng = np.random.default_rng(3)
     sync_ok = all(
-        q_value(s, a, params) == q_value(s, a, target)
+        q_values_batch([s], [a], params)[0] == q_values_batch([s], [a], target)[0]
         for s, a in ((random_state(rng), float(rng.uniform(-0.6, 0.6)))
                      for _ in range(1000)))
 
@@ -225,14 +224,12 @@ def test_criterion_8_train_determinism(tmp_path):
                          batch_size=32, buffer_capacity=5000)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
-    outs = [str(tmp_path / "run1"), str(tmp_path / "run2")]
+    outs = [tmp_path / "run1", tmp_path / "run2"]
     for out in outs:
-        assert main(["train", "--config", str(cfg_path), "--out", out]) == 0
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     names = sorted(os.listdir(outs[0]))
-    identical = all(
-        open(os.path.join(outs[0], name), "rb").read()
-        == open(os.path.join(outs[1], name), "rb").read()
-        for name in names)
+    identical = all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+                    for name in names)
     report(8, "rerun determinism", sorted(os.listdir(outs[1])) == names
            and identical, f"{len(names)} files byte-identical: {identical}")
 

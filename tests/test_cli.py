@@ -4,6 +4,7 @@ import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,13 +93,13 @@ def test_checkpoint_round_trip_bytes(tmp_path):
     p1 = str(tmp_path / "ck1.json")
     p2 = str(tmp_path / "ck2.json")
     save_checkpoint(p1, 123, params, None, None, None, digest)
-    assert set(json.loads(open(p1).read())) == {
+    assert set(json.loads(Path(p1).read_text())) == {
         "format_version", "step", "params", "config_digest"}
     ck = load_checkpoint(p1)
     assert ck["step"] == 123 and ck["config_digest"] == digest
     save_checkpoint(p2, ck["step"], ck["params"], None, None, None,
                     ck["config_digest"])
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_checkpoint_restores_parameters(tmp_path):
@@ -115,15 +116,15 @@ def test_checkpoint_restores_parameters(tmp_path):
 def test_checkpoint_version_checked(tmp_path, capsys):
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, 1, checkpoint_params(), None, None, None, "d")
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):
         data["format_version"] = version
-        open(path, "w").write(json.dumps(data))
+        Path(path).write_text(json.dumps(data))
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
     # eval and trace refuse a version-2 file
     data["format_version"] = 2
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     cfg_path = write_config(tmp_path, desk_config())
     dst = str(tmp_path / "out.csv")
     assert main(["eval", "--checkpoint", path, "--config", cfg_path,
@@ -145,11 +146,11 @@ def test_cmd_train_outputs(tmp_path):
     assert "loss.csv" in names and "episodes.csv" in names
     assert "checkpoint_00000300.json" in names
     assert "checkpoint_00000600.json" in names
-    loss_lines = open(os.path.join(out, "loss.csv")).read().splitlines()
+    loss_lines = Path(out, "loss.csv").read_text().splitlines()
     assert loss_lines[0].startswith("#")
     assert loss_lines[1] == "step,loss"
     assert len(loss_lines) == 2 + 600 // 20
-    ep_lines = open(os.path.join(out, "episodes.csv")).read().splitlines()
+    ep_lines = Path(out, "episodes.csv").read_text().splitlines()
     assert ep_lines[0] == ("vehicle_id,start_step,end_step,duration_s,"
                            "R,R_acce,R_rate,R_dev,outcome")
 
@@ -167,14 +168,12 @@ def test_cmd_train_rerun_byte_identical(tmp_path):
         assert main(["train", "--config", cfg_path, "--out", out2]) == 0
     assert [str(w.message) for w in caught] == []
     losses = dict(line.split(",") for line in
-                  open(os.path.join(out1, "loss.csv")).read().splitlines()
+                  Path(out1, "loss.csv").read_text().splitlines()
                   if line[0].isdigit())
     assert losses["500"] and losses["1000"], "a stage took no gradient step"
-    assert len(open(os.path.join(out1, "episodes.csv")).readlines()) > 1
+    assert len(Path(out1, "episodes.csv").read_text().splitlines()) > 1
     for name in os.listdir(out1):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
-        assert a == b, name
+        assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes(), name
 
 
 def test_cmd_train_fault_keeps_logged_rows(tmp_path, monkeypatch, capsys):
@@ -197,8 +196,8 @@ def test_cmd_train_fault_keeps_logged_rows(tmp_path, monkeypatch, capsys):
     # the files hold the start of a clean run's logs, up to the fault
     kept = {}
     for name in ("loss.csv", "episodes.csv"):
-        kept[name] = open(os.path.join(cut, name)).read().splitlines()
-        whole = open(os.path.join(full, name)).read().splitlines()
+        kept[name] = Path(cut, name).read_text().splitlines()
+        whole = Path(full, name).read_text().splitlines()
         assert kept[name] == whole[:len(kept[name])]
     losses = [line.split(",")[1] for line in kept["loss.csv"][2:]]
     assert len(losses) < 600 // 20
@@ -249,6 +248,44 @@ def test_unknown_key_rejected(section, trained_run, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("seed", None, True),
+    ("train", None, 5),
+    ("train", "batch_size", "64"),
+    ("train", "batch_size", True),
+    ("train", "checkpoint_schedule", [300, 600.0]),
+    ("road", "lanes", 3.0),
+    ("road", "curvature_profile", [[0.0, 0.001, 5.0]]),
+    ("traffic", "depart_min", "5.0"),
+    ("reward", "w_acce", None),
+    ("idm", "T", False),
+    ("naf", "a_cap", [0.6]),
+    ("sim", "strict", 1),
+])
+def test_wrong_type_rejected(section, field, value, tmp_path, capsys):
+    data = desk_config()
+    if field is None:
+        data[section] = value
+        name = f"config section {section} "
+    else:
+        data[section][field] = value
+        name = f"{section}.{field} "
+    with pytest.raises(ConfigurationError, match=re.escape(name)):
+        parse_config(data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+    assert not out.exists()
+
+
+def test_int_accepted_for_float_field():
+    data = desk_config()
+    data["idm"]["T"] = 2
+    assert parse_config(data).world.idm.T == 2
+
+
 # -- eval command
 
 
@@ -258,7 +295,7 @@ def test_cmd_eval_single_episode(trained_run, tmp_path):
     dst = str(tmp_path / "eval.csv")
     assert main(["eval", "--checkpoint", ck, "--config", cfg_path,
                  "--episodes", "1", "--seed", "3", "--out", dst]) == 0
-    lines = open(dst).read().splitlines()
+    lines = Path(dst).read_text().splitlines()
     assert len(lines) == 3  # header + one episode + summary
     assert lines[-1].startswith("summary,")
 
@@ -269,7 +306,7 @@ def test_cmd_eval_summary_is_mean(trained_run, tmp_path):
     dst = str(tmp_path / "eval.csv")
     assert main(["eval", "--checkpoint", ck, "--config", cfg_path,
                  "--episodes", "3", "--seed", "3", "--out", dst]) == 0
-    lines = open(dst).read().splitlines()[1:]
+    lines = Path(dst).read_text().splitlines()[1:]
     body, summary = lines[:-1], lines[-1].split(",")
     rs = [float(row.split(",")[4]) for row in body]
     assert float(summary[4]) == pytest.approx(sum(rs) / len(rs), rel=1e-12)
@@ -277,7 +314,7 @@ def test_cmd_eval_summary_is_mean(trained_run, tmp_path):
 
 def test_cmd_eval_digest_mismatch_refused(trained_run, tmp_path, capsys):
     cfg_path, out = trained_run
-    data = json.loads(open(cfg_path).read())
+    data = json.loads(Path(cfg_path).read_text())
     data["idm"]["a_m"] = 2.5
     other_cfg = write_config(tmp_path, data, "other.json")
     ck = os.path.join(out, "checkpoint_00000600.json")
@@ -299,7 +336,7 @@ def test_cmd_trace_rows(trained_run, tmp_path):
     dst = str(tmp_path / "trace.csv")
     assert main(["trace", "--checkpoint", ck, "--config", cfg_path,
                  "--seed", "4", "--out", dst]) == 0
-    lines = open(dst).read().splitlines()
+    lines = Path(dst).read_text().splitlines()
     assert lines[0] == ("step,t,a_yaw,omega,theta,d,delta_d_lat,"
                         "r,r_acce,r_rate,r_dev")
     rows = [line.split(",") for line in lines[1:]]

@@ -11,9 +11,9 @@ from nafdrive.errors import ConfigurationError, ContractError, NumericalError
 from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
                               batch_loss, explore_actions, make_rngs,
                               opt_states_init, run_training, sigma_at,
-                              sync_target, td_targets, train_step)
-from nafdrive.nafq import (A_CAP, NafParams, RlState, fit_gradients, greedy_action,
-                           greedy_actions_batch, q_value)
+                              td_targets, train_step)
+from nafdrive.nafq import (A_CAP, NafParams, RlState, fit_gradients,
+                           greedy_actions_batch, q_values_batch)
 from nafdrive.simworld import WorldConfig
 
 
@@ -142,7 +142,7 @@ def test_train_step_on_ring_sample_matches_stacked_states():
     # stacked by hand from RlState objects
     rng = np.random.default_rng(12)
     params = NafParams.init(rng, hidden=(8,))
-    target = sync_target(params)
+    target = params.copy()
     items = [random_transition(rng) for _ in range(40)]
     buf = ReplayBuffer(32)
     for tr in items:
@@ -230,12 +230,9 @@ def random_state_rows(rng, n):
 def test_explore_zero_sigma_is_greedy():
     rng = np.random.default_rng(7)
     params = NafParams.init(rng, hidden=(8,))
-    S = random_state_rows(rng, 1)
-    a = explore_actions(S, params, 0.0, np.random.default_rng(0))
-    assert a[0] == greedy_action(RlState(*S[0]), params)
-    S = np.random.default_rng(1).normal(size=(20, 6))
-    a = explore_actions(S, params, 0.0, np.random.default_rng(0))
-    assert np.array_equal(a, greedy_actions_batch(S, params))
+    for S in (random_state_rows(rng, 1), np.random.default_rng(1).normal(size=(20, 6))):
+        a = explore_actions(S, params, 0.0, np.random.default_rng(0))
+        assert np.array_equal(a, greedy_actions_batch(S, params))
 
 
 def test_explore_mean_matches_mu():
@@ -269,7 +266,7 @@ def test_explore_clipped_to_cap():
 def _params_and_batch(seed=0, n=16):
     rng = np.random.default_rng(seed)
     params = NafParams.init(rng, hidden=(8,))
-    target = sync_target(params)
+    target = params.copy()
     batch = stack([random_transition(rng) for _ in range(n)])
     return params, target, batch
 
@@ -366,12 +363,12 @@ def test_overfit_one_batch():
 
 def test_sync_target_bit_exact_and_independent():
     params, _, _ = _params_and_batch(4)
-    target = sync_target(params)
+    target = params.copy()
     rng = np.random.default_rng(0)
     for _ in range(100):
         s = RlState(*rng.normal(size=6))
         a = float(rng.uniform(-0.5, 0.5))
-        assert q_value(s, a, params) == q_value(s, a, target)
+        assert q_values_batch([s], [a], params)[0] == q_values_batch([s], [a], target)[0]
     params.v_net.biases[-1][0] += 1.0
     assert target.v_net.biases[-1][0] != params.v_net.biases[-1][0]
 

@@ -8,10 +8,9 @@ import pytest
 from nafdrive import nafq
 from nafdrive.errors import NumericalError
 from nafdrive.errors import ContractError
-from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, NafParams, RlState,
-                           _Heads, fit_gradients, greedy_action,
-                           greedy_actions_batch, m_value, mu_action,
-                           q_gradients_batch, q_value, v_value)
+from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, Heads, NafParams, RlState,
+                           fit_gradients, greedy_actions_batch, q_gradients_batch,
+                           q_values_batch)
 from nafdrive.netcore import finite_diff_check
 
 
@@ -26,8 +25,17 @@ def const_params(amax_bias=0.0, beta_bias=0.0, ttrans_bias=0.0,
 
 
 def q_gradient(state, a_yaw, params):
-    grad, _ = q_gradients_batch(state, [a_yaw], [1.0], params)
+    grad, _ = q_gradients_batch([state], [a_yaw], [1.0], params)
     return grad
+
+
+def heads(state, params, nets=NafParams.MU_NET_NAMES) -> Heads:
+    """The named nets evaluated at one state, a one-row batch."""
+    return Heads(params, [state], nets)
+
+
+def q_of(state, a_yaw, params) -> float:
+    return q_values_batch([state], [a_yaw], params)[0][0]
 
 
 def random_state(rng) -> RlState:
@@ -74,7 +82,7 @@ def test_sigmoid_equals_scipy_expit_bit_for_bit():
 
 def features(state: RlState):
     """The deviation triple (dd, dv, dphi) that feeds mu."""
-    h = _Heads(NafParams.init(0, hidden=(8,)), state)
+    h = heads(state, NafParams.init(0, hidden=(8,)))
     return h.dd[0], h.dv[0], h.dphi[0]
 
 
@@ -100,17 +108,15 @@ def test_features_hand_case():
 def test_mu_zero_features_gives_zero_action():
     rng = np.random.default_rng(0)
     params = NafParams.init(rng, hidden=(8,))
-    a, _ = mu_action(RlState(20.0, 0.0, 0.0, 0.0, 0.1, 0.0), params)
-    assert a == 0.0
+    assert heads(RlState(20.0, 0.0, 0.0, 0.0, 0.1, 0.0), params).mu[0] == 0.0
 
 
 def test_mu_bounded_by_cap():
     rng = np.random.default_rng(1)
     for _ in range(100):
         params = NafParams.init(rng, hidden=(8,))
-        a, heads = mu_action(random_state(rng), params)
-        assert type(a) is float
-        assert abs(a) < heads.a_max <= A_CAP
+        h = heads(random_state(rng), params)
+        assert abs(h.mu[0]) < h.a_max[0] <= A_CAP
 
 
 def test_mu_hand_case():
@@ -120,13 +126,13 @@ def test_mu_hand_case():
     beta_bias = math.log(math.e - 1.0)   # softplus = 1
     ttrans_bias = math.log(1.5 / 8.0)    # 0.5 + 9.5 * sigmoid = 2
     params = const_params(amax_bias, beta_bias, ttrans_bias)
-    a, heads = mu_action(RlState(20.0, 0.0, 1.875, 0.0, 0.0, 0.0), params)
-    assert heads.a_max == pytest.approx(0.5, abs=1e-12)
-    assert heads.beta_sen == pytest.approx(1.0, abs=1e-12)
-    assert heads.t_trns == pytest.approx(2.0, abs=1e-12)
-    assert heads.a_tmp == pytest.approx(0.46875, abs=1e-12)
-    assert a == pytest.approx(0.5 * math.tanh(0.46875), abs=1e-12)
-    assert a == pytest.approx(0.2186, abs=1e-4)
+    h = heads(RlState(20.0, 0.0, 1.875, 0.0, 0.0, 0.0), params)
+    assert h.a_max[0] == pytest.approx(0.5, abs=1e-12)
+    assert h.beta[0] == pytest.approx(1.0, abs=1e-12)
+    assert h.t_trns[0] == pytest.approx(2.0, abs=1e-12)
+    assert h.a_tmp[0] == pytest.approx(0.46875, abs=1e-12)
+    assert h.mu[0] == pytest.approx(0.5 * math.tanh(0.46875), abs=1e-12)
+    assert h.mu[0] == pytest.approx(0.2186, abs=1e-4)
 
 
 def test_mu_odd_in_atmp_with_heads_fixed():
@@ -140,16 +146,15 @@ def test_mu_odd_in_atmp_with_heads_fixed():
         dd = float(rng.normal(0, 2))
         s = RlState(v, 0.0, dd, 0.0, 0.0, 0.0)
         mirrored = RlState(v, 0.0, -dd, 0.0, 0.0, 0.0)
-        a, h = mu_action(s, params)
-        am, hm = mu_action(mirrored, params)
-        assert hm.a_tmp == pytest.approx(-h.a_tmp, abs=1e-12)
-        assert am == pytest.approx(-a, abs=1e-12)
+        h, hm = heads(s, params), heads(mirrored, params)
+        assert hm.a_tmp[0] == pytest.approx(-h.a_tmp[0], abs=1e-12)
+        assert hm.mu[0] == pytest.approx(-h.mu[0], abs=1e-12)
 
 
 def test_nonfinite_head_error_names_network():
     params = const_params(amax_bias=math.nan)
     with pytest.raises(NumericalError, match="amax_net"):
-        mu_action(RlState(20.0, 0.0, 1.0, 0.0, 0.0, 0.0), params)
+        heads(RlState(20.0, 0.0, 1.0, 0.0, 0.0, 0.0), params)
 
 
 def test_policy_evaluates_only_the_head_nets(monkeypatch):
@@ -160,19 +165,24 @@ def test_policy_evaluates_only_the_head_nets(monkeypatch):
     greedy_actions_batch(states, params)
     assert seen == list(NafParams.MU_NET_NAMES)
     seen.clear()
-    mu_action(states[0], params)
-    assert seen == list(NafParams.MU_NET_NAMES)
-    seen.clear()
-    m_value(states[0], params)
+    heads(states[0], params, ("m_net",))
     assert seen == ["m_net"]
 
 
 # -- curvature and value heads
 
 
+def m_of(state, params) -> float:
+    return heads(state, params, ("m_net",)).m[0]
+
+
+def v_of(state, params) -> float:
+    return heads(state, params, ("v_net",)).v[0]
+
+
 def test_m_value_raw_zero():
     params = const_params()
-    m = m_value(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), params)
+    m = m_of(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), params)
     assert m == pytest.approx(-math.log(2.0) - M_EPS, abs=1e-12)
     assert m == pytest.approx(-0.6941, abs=1e-4)
 
@@ -181,19 +191,19 @@ def test_m_value_always_negative():
     rng = np.random.default_rng(3)
     for _ in range(100):
         params = NafParams.init(rng, hidden=(8,))
-        assert m_value(random_state(rng), params) <= -M_EPS
+        assert m_of(random_state(rng), params) <= -M_EPS
 
 
 def test_m_value_limit_is_minus_eps():
     params = const_params(m_bias=-50.0)  # softplus -> 0
-    m = m_value(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), params)
+    m = m_of(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), params)
     assert m == pytest.approx(-M_EPS, abs=1e-12)
 
 
 def test_v_value_zero_and_bias_nets():
-    assert v_value(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), const_params()) == 0.0
+    assert v_of(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), const_params()) == 0.0
     params = const_params(v_bias=-2.5)
-    assert v_value(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), params) == -2.5
+    assert v_of(RlState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), params) == -2.5
 
 
 # -- Q
@@ -204,9 +214,8 @@ def test_q_at_mu_equals_v():
     for _ in range(50):
         params = NafParams.init(rng, hidden=(8,))
         s = random_state(rng)
-        mu = greedy_action(s, params)
-        assert q_value(s, mu, params) == pytest.approx(v_value(s, params),
-                                                       abs=1e-12)
+        mu = greedy_actions_batch([s], params)[0]
+        assert q_of(s, mu, params) == pytest.approx(v_of(s, params), abs=1e-12)
 
 
 def test_q_hand_case():
@@ -214,7 +223,7 @@ def test_q_hand_case():
     m_bias = math.log(math.expm1(1.0 - M_EPS))  # softplus + eps = 1
     params = const_params(m_bias=m_bias, v_bias=-1.0)
     s = RlState(20.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # zero features -> mu = 0
-    q = q_value(s, -0.3, params)
+    q = q_of(s, -0.3, params)
     assert q == pytest.approx(-1.09, abs=1e-12)
 
 
@@ -223,19 +232,19 @@ def test_q_below_v_away_from_mu():
     for _ in range(50):
         params = NafParams.init(rng, hidden=(8,))
         s = random_state(rng)
-        a = greedy_action(s, params)
-        v = v_value(s, params)
-        assert q_value(s, a + 0.2, params) < v
-        assert q_value(s, a - 0.2, params) < v
+        a = greedy_actions_batch([s], params)[0]
+        v = v_of(s, params)
+        assert q_of(s, a + 0.2, params) < v
+        assert q_of(s, a - 0.2, params) < v
 
 
 def test_grid_search_never_beats_mu():
     rng = np.random.default_rng(6)
     params = NafParams.init(rng, hidden=(8,))
     s = random_state(rng)
-    q_star = q_value(s, greedy_action(s, params), params)
+    q_star = q_of(s, greedy_actions_batch([s], params)[0], params)
     grid = np.arange(-A_CAP, A_CAP + 1e-9, 1e-3)
-    qs = [q_value(s, float(a), params) for a in grid]
+    qs = [q_of(s, float(a), params) for a in grid]
     assert max(qs) <= q_star + 1e-12
 
 
@@ -256,7 +265,7 @@ def test_gradients_match_finite_differences():
     s = random_state(rng)
     a = float(rng.uniform(-0.5, 0.5))
     grad = q_gradient(s, a, params)
-    max_err = finite_diff_check(lambda: q_value(s, a, params), params.flat, grad)
+    max_err = finite_diff_check(lambda: q_of(s, a, params), params.flat, grad)
     assert max_err < 1e-4
 
 

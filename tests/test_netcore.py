@@ -14,7 +14,7 @@ def sum_objective(net, x):
 
 def sum_gradient(net, x):
     y, cache = net_forward(net, x)
-    return net_backward(net, cache, np.ones_like(y))[0]
+    return net_backward(net, cache, np.ones_like(y))
 
 
 def test_init_shapes_and_zero_biases():
@@ -68,20 +68,20 @@ def test_forward_zero_net_is_zero():
     net = net_init([4, 8, 2], seed=0)
     for w in net.weights:
         w[:] = 0.0
-    y, _ = net_forward(net, np.ones(4))
+    y, _ = net_forward(net, np.ones((1, 4)))
     assert np.all(y == 0.0)
 
 
 def test_forward_identity_layer():
     net = Network([1, 1], np.array([1.0, 0.0]))  # w = 1, b = 0
-    y, _ = net_forward(net, np.array([0.5]))
-    assert y[0] == 0.5
+    y, _ = net_forward(net, np.array([[0.5]]))
+    assert y[0, 0] == 0.5
 
 
 def test_forward_single_hidden_tanh():
     net = Network([1, 1, 1], np.array([1.0, 0.0, 1.0, 0.0]))
-    y, _ = net_forward(net, np.array([0.5]))
-    assert y[0] == pytest.approx(np.tanh(0.5), abs=1e-15)
+    y, _ = net_forward(net, np.array([[0.5]]))
+    assert y[0, 0] == pytest.approx(np.tanh(0.5), abs=1e-15)
 
 
 def test_forward_batch_matches_single():
@@ -89,82 +89,83 @@ def test_forward_batch_matches_single():
     X = np.random.default_rng(0).normal(size=(5, 3))
     Y, _ = net_forward(net, X)
     for i in range(5):
-        y, _ = net_forward(net, X[i])
-        assert np.allclose(Y[i], y, atol=0.0)
+        y, _ = net_forward(net, X[i:i + 1])
+        assert np.allclose(Y[i], y[0], atol=0.0)
 
 
 def test_forward_dim_mismatch():
     net = net_init([3, 2], seed=0)
-    with pytest.raises(ContractError):
-        net_forward(net, np.ones(4))
+    for x in (np.ones((1, 4)), np.ones(3)):  # a wrong width, and one row as 1-D
+        with pytest.raises(ContractError):
+            net_forward(net, x)
 
 
 def test_backward_linear_layer_derivatives():
-    # y = w*x + b: dw = x, db = 1, dx = w
-    w = 1.7
-    net = Network([1, 1], np.array([w, 0.0]))
-    x = np.array([0.3])
-    y, cache = net_forward(net, x)
-    grad, dx = net_backward(net, cache, np.ones(1))
+    # y = w*x + b: dw = x, db = 1
+    net = Network([1, 1], np.array([1.7, 0.0]))
+    _, cache = net_forward(net, np.array([[0.3]]))
+    grad = net_backward(net, cache, np.ones((1, 1)))
     assert grad[0] == pytest.approx(0.3)
     assert grad[1] == pytest.approx(1.0)
-    assert dx[0] == pytest.approx(w)
 
 
 def test_backward_tanh_at_zero_passes_upstream():
-    # tanh'(0) = 1, so with zero input the hidden unit is transparent
-    net = Network([1, 1, 1], np.array([2.0, 0.0, 3.0, 0.0]))
-    y, cache = net_forward(net, np.zeros(1))
-    _, dx = net_backward(net, cache, np.ones(1))
-    assert dx[0] == pytest.approx(2.0 * 3.0)
+    # tanh'(0) = 1, so with zero input the hidden unit is transparent: the
+    # hidden bias b_0 gets the output weight w_1 as its gradient
+    net = Network([1, 1, 1], np.array([2.0, 0.0, 3.0, 0.0]))  # w_0, b_0, w_1, b_1
+    _, cache = net_forward(net, np.zeros((1, 1)))
+    grad = net_backward(net, cache, np.ones((1, 1)))
+    assert grad[1] == pytest.approx(3.0)
 
 
 def test_backward_batch_accumulates():
     net = net_init([3, 4, 1], seed=2)
     X = np.random.default_rng(1).normal(size=(6, 3))
     _, cache = net_forward(net, X)
-    g_all, _ = net_backward(net, cache, np.ones((6, 1)))
+    g_all = net_backward(net, cache, np.ones((6, 1)))
     acc = np.zeros(net.flat.size)
     for i in range(6):
-        _, c = net_forward(net, X[i])
-        acc += net_backward(net, c, np.ones(1))[0]
+        _, c = net_forward(net, X[i:i + 1])
+        acc += net_backward(net, c, np.ones((1, 1)))
     assert np.allclose(g_all, acc, atol=1e-12)
 
 
 def test_backward_writes_into_out():
     net = net_init([3, 4, 1], seed=2)
-    _, cache = net_forward(net, np.ones(3))
+    _, cache = net_forward(net, np.ones((1, 3)))
     out = np.full(net.flat.size, np.nan)
-    grad, _ = net_backward(net, cache, np.ones(1), out)
+    grad = net_backward(net, cache, np.ones((1, 1)), out)
     assert grad is out and np.all(np.isfinite(out))
     with pytest.raises(ContractError):
-        net_backward(net, cache, np.ones(1), np.empty(net.flat.size + 1))
+        net_backward(net, cache, np.ones((1, 1)), np.empty(net.flat.size + 1))
+    with pytest.raises(ContractError):  # upstream must be (n, out)
+        net_backward(net, cache, np.ones(1), out)
 
 
 def test_backward_stale_cache_rejected():
     net3 = net_init([3, 4, 1], seed=0)
     net2 = net_init([2, 4, 1], seed=0)
-    _, cache = net_forward(net2, np.ones(2))
+    _, cache = net_forward(net2, np.ones((1, 2)))
     with pytest.raises(ContractError):
-        net_backward(net3, cache, np.ones(1))
+        net_backward(net3, cache, np.ones((1, 1)))
 
 
 def test_finite_diff_zero_net():
     net = net_init([3, 4, 1], seed=0)
     net.flat[:] = 0.0
-    x = np.ones(3)
+    x = np.ones((1, 3))
     assert finite_diff_check(sum_objective(net, x), net.flat, sum_gradient(net, x)) < 1e-6
 
 
 def test_finite_diff_random_net():
     net = net_init([3, 8, 1], seed=5)
-    x = np.random.default_rng(5).normal(size=3)
+    x = np.random.default_rng(5).normal(size=(1, 3))
     assert finite_diff_check(sum_objective(net, x), net.flat, sum_gradient(net, x)) < 1e-5
 
 
 def test_finite_diff_detects_corrupted_gradient():
     net = net_init([3, 8, 1], seed=6)
-    x = np.random.default_rng(6).normal(size=3)
+    x = np.random.default_rng(6).normal(size=(1, 3))
     grad = sum_gradient(net, x)
     grad[0] *= 1.10  # +10% on one weight
     assert finite_diff_check(sum_objective(net, x), net.flat, grad) >= 0.05

@@ -411,7 +411,7 @@ def test_neighbour_lookups_match_linear_scan():
                         for v in lane_lists[ego_lane])
             for lane in range(lanes):
                 args = (lane_lists, lane, ego.station, ego.id)
-                leader = world._leader(*args)
+                leader = world._leader(lane_lists, lane, ego.station)
                 follower = world._follower(*args)
                 assert leader == _scan_leader(world, *args)
                 assert follower == _scan_follower(world, *args)
