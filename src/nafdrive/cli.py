@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -86,9 +87,17 @@ def _fits(value, tp) -> bool:
     return isinstance(value, tp)
 
 
+def _finite(value) -> bool:
+    """Whether every float in the JSON value `value` is finite; Python's
+    json reads NaN and Infinity, which no field accepts."""
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _section(data: dict, section: str) -> dict:
     """The section's values, which must name exactly its fields, each with
-    a value of the field's type."""
+    a finite value of the field's type."""
     if section not in data:
         raise ConfigurationError(f"missing config section: {section}")
     values = data[section]
@@ -104,6 +113,9 @@ def _section(data: dict, section: str) -> dict:
         if not _fits(values[f.name], _FIELD_TYPES[section][f.name]):
             raise ConfigurationError(f"config field {section}.{f.name} must be "
                                      f"{f.type}, not {values[f.name]!r}")
+        if not _finite(values[f.name]):
+            raise ConfigurationError(f"config field {section}.{f.name} must be "
+                                     f"finite, not {values[f.name]!r}")
     return dict(values)
 
 

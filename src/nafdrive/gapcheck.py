@@ -34,7 +34,7 @@ class GapAssessment:
 def required_gap(v_rear: float, v_front: float, p: IdmParams) -> float:
     """Speed-dependent safety distance between a rear and a front vehicle."""
     dynamic = v_rear * p.T + v_rear * (v_rear - v_front) / (2.0 * math.sqrt(p.a_m * p.b))
-    return p.s0 + max(0.0, dynamic)
+    return p.s0 + (dynamic if dynamic > 0.0 else 0.0)  # max(0.0, dynamic)
 
 
 def gap_acceptable(

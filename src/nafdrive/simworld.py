@@ -47,7 +47,11 @@ class RoadSpec:
         return c
 
     def lane_of(self, d: float) -> int:
-        return min(max(int(d // self.lane_width), 0), self.lanes - 1)
+        # min(max(lane, 0), top) without the builtin calls (hot path)
+        lane = int(d // self.lane_width)
+        lane = 0 if 0 > lane else lane
+        top = self.lanes - 1
+        return top if top < lane else lane
 
 
 @dataclass
@@ -152,7 +156,8 @@ def step_kinematics(state: VehicleState, a_lng_cmd: float, a_yaw_cmd: float,
     """
     omega = state.omega + a_yaw_cmd * dt
     theta = state.theta + omega * dt
-    v = max(0.0, state.v + a_lng_cmd * dt)
+    v = state.v + a_lng_cmd * dt
+    v = v if v > 0.0 else 0.0  # max(0.0, v)
     state.station += v * math.cos(theta) * dt
     state.d += v * math.sin(theta) * dt
     state.omega = omega
@@ -239,9 +244,10 @@ class World:
         in `self.vehicles`.
         """
         road = self.cfg.road
+        lane_of = road.lane_of
         lanes = [[] for _ in range(road.lanes)]
         for veh in self.vehicles:
-            veh.occupancy = lane = road.lane_of(veh.d)
+            veh.occupancy = lane = lane_of(veh.d)
             lanes[lane].append(veh)
         for lst in lanes:
             lst.sort(key=_STATION)
@@ -472,9 +478,10 @@ class World:
         # collision scan per occupancy lane
         min_gap = math.inf
         for lst in post_lists:
-            for rear, front in zip(lst[:-1], lst[1:]):
+            for rear, front in zip(lst, lst[1:]):
                 gap = front.station - rear.station - front.length
-                min_gap = min(min_gap, gap)
+                if gap < min_gap:  # min(min_gap, gap)
+                    min_gap = gap
                 if gap <= 0:
                     faults.append(
                         f"step {self.step_count}: overlap between "

@@ -2,11 +2,15 @@
 
 Nine criteria, each reported as a single PASS/FAIL line.  The exact-oracle
 criteria run in seconds; criterion 7 trains three desk-scale runs (80k
-steps each) and dominates the runtime.
+steps each, side by side in worker processes) and dominates the runtime.
 """
 
 import math
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -148,24 +152,40 @@ def test_criterion_6_car_following_safety():
            f"({elapsed:.0f}s)")
 
 
+def desk_run(seed):
+    """One desk-scale training run: its loss rows, its layer sizes and the
+    flat parameter vectors of its first and last checkpoints."""
+    cfg = TrainConfig(total_steps=80_000, pretrain_steps=20_000,
+                      checkpoint_schedule=[10_000 * k for k in range(1, 9)],
+                      seed=seed)
+    saved = {}
+
+    def hook(step, params):
+        if step in (10_000, 80_000):
+            saved[step] = params.copy()
+
+    result = run_training(cfg, WorldConfig(), checkpoint_hook=hook)
+    return (result.loss_rows, saved[10_000].layer_dims,
+            saved[10_000].flat, saved[80_000].flat)
+
+
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Three desk-scale training runs with first/last checkpoints kept."""
-    runs = []
-    for seed in range(3):
-        cfg = TrainConfig(total_steps=80_000, pretrain_steps=20_000,
-                          checkpoint_schedule=[10_000 * k for k in range(1, 9)],
-                          seed=seed)
-        saved = {}
+    """Three desk-scale training runs with first/last checkpoints kept.
 
-        def hook(step, params, saved=saved):
-            if step in (10_000, 80_000):
-                saved[step] = params.copy()
-
-        result = run_training(cfg, WorldConfig(), checkpoint_hook=hook)
-        runs.append({"seed": seed, "loss_rows": result.loss_rows,
-                     "first": saved[10_000], "last": saved[80_000]})
-    return runs
+    Each run is a pure function of its config and seed, so the three run
+    side by side in worker processes.  A worker returns flat vectors, not
+    NafParams: unpickling a NafParams detaches its nets from `flat`.
+    """
+    workers = min(3, os.cpu_count() or 1)
+    # a warning fails a run here as conftest.py makes it fail a test
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter,
+                             initargs=("error",)) as pool:
+        results = list(pool.map(desk_run, range(3)))
+    return [{"seed": seed, "loss_rows": loss_rows,
+             "first": NafParams(list(dims), first), "last": NafParams(list(dims), last)}
+            for seed, (loss_rows, dims, first, last) in enumerate(results)]
 
 
 @pytest.mark.slow

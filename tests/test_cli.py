@@ -1,6 +1,7 @@
 """Config parsing, checkpoints, CSV outputs, and the four subcommands."""
 
 import json
+import math
 import os
 import re
 import warnings
@@ -277,6 +278,27 @@ def test_wrong_type_rejected(section, field, value, tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("train", "dt", math.inf),
+    ("road", "lane_width", math.nan),
+    ("idm", "b_max", -math.inf),
+    ("road", "curvature_profile", [[0.0, 0.001], [500.0, math.nan]]),
+])
+def test_non_finite_float_rejected(section, field, value, tmp_path, capsys):
+    # Python's json writes and reads NaN and Infinity, so a config file can hold them
+    data = desk_config()
+    data[section][field] = value
+    path = write_config(tmp_path, data)
+    assert "NaN" in Path(path).read_text() or "Infinity" in Path(path).read_text()
+    msg = f"config field {section}.{field} must be finite, not {value!r}"
+    with pytest.raises(ConfigurationError, match=re.escape(msg)):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
     assert not out.exists()
 
 
