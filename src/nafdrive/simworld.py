@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .errors import ContractError, SimulationFault
+from .errors import ContractError, NumericalError, SimulationFault
 from .gapcheck import MonitorDecision, gap_acceptable, monitor_step
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
 from .nafq import RlState
@@ -95,6 +95,7 @@ class VehicleState:
     pending_target: int | None = None
     idm: IdmParams | None = None  # the world's IDM params with this v0
     occupancy: int = -1  # lane holding d, as of the last lane index
+    occupancy_d: float = math.nan  # the d `occupancy` was computed from
     trigger_drawn: bool = False
     episode: "EpisodeMetrics | None" = None
     episode_steps: int = 0
@@ -240,15 +241,25 @@ class World:
         """Vehicles per occupancy lane, each list sorted by station; each
         vehicle's occupancy lane is also recorded in `veh.occupancy`.
 
-        The sort is stable, so vehicles at equal stations keep their order
-        in `self.vehicles`.
+        A lane is recomputed only when `veh.d` differs from the `d` it was
+        last computed from, since it depends on nothing else.  A NaN `d`
+        never equals itself, so it always reaches `lane_of`.  The sort is
+        stable, so vehicles at equal stations keep their order in
+        `self.vehicles`.
         """
         road = self.cfg.road
         lane_of = road.lane_of
         lanes = [[] for _ in range(road.lanes)]
         for veh in self.vehicles:
-            veh.occupancy = lane = lane_of(veh.d)
-            lanes[lane].append(veh)
+            d = veh.d
+            if d != veh.occupancy_d:
+                try:
+                    veh.occupancy = lane_of(d)
+                except (ValueError, OverflowError):
+                    raise NumericalError(f"step {self.step_count}: vehicle "
+                                         f"{veh.id} has lateral position d={d}") from None
+                veh.occupancy_d = d
+            lanes[veh.occupancy].append(veh)
         for lst in lanes:
             lst.sort(key=_STATION)
         return lanes

@@ -6,7 +6,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from nafdrive.errors import SimulationFault
+from nafdrive import cli
+from nafdrive.errors import NumericalError, SimulationFault
+from nafdrive.learner import make_rngs
 from nafdrive.longitudinal import free_leader_accel
 from nafdrive.nafq import RlState
 from nafdrive.simworld import (EpisodeMetrics, RewardWeights, RoadSpec,
@@ -418,6 +420,91 @@ def test_neighbour_lookups_match_linear_scan():
                 beyond_range += leader is None and any(
                     v.station > ego.station for v in lane_lists[lane])
     assert ties and beyond_range and empty
+
+
+# -- lane index
+
+
+def _ref_lane_lists(world):
+    """Occupancy lanes from scratch: bucket by lane_of(d), stable sort by station."""
+    road = world.cfg.road
+    lanes = [[] for _ in range(road.lanes)]
+    for veh in world.vehicles:
+        lanes[road.lane_of(veh.d)].append(veh)
+    return [sorted(lst, key=lambda v: v.station) for lst in lanes]
+
+
+def test_lane_index_equals_reference_every_tick():
+    seen = dict(changes=0, aborts=0, off_right=0, off_left=0, overlaps=0, edits=0)
+    for seed in range(3):
+        rng = np.random.default_rng(100 + seed)
+        world = make_world(seed=seed)
+        road = world.cfg.road
+        index = world._lane_lists
+
+        def checked_index():
+            lane_lists = index()
+            assert ([[v.id for v in lst] for lst in lane_lists]
+                    == [[v.id for v in lst] for lst in _ref_lane_lists(world)])
+            assert all(v.occupancy == road.lane_of(v.d) for v in world.vehicles)
+            seen["off_right"] += any(v.d < 0.0 for v in world.vehicles)
+            seen["off_left"] += any(v.d >= road.lanes * road.lane_width
+                                    for v in world.vehicles)
+            return lane_lists
+
+        world._lane_lists = checked_index
+
+        def policy(states):
+            return rng.normal(0.0, 0.3, size=len(states))
+
+        for tick in range(2000):
+            if world.vehicles and tick % 10 == 0:
+                # an edited d, and a new vehicle that no lane index has seen
+                veh = world.vehicles[rng.integers(len(world.vehicles))]
+                veh.d = rng.uniform(-1.0, road.lanes * road.lane_width + 1.0)
+                make_vehicle(world, lane=int(rng.integers(road.lanes)),
+                             station=rng.uniform(20.0, 900.0))
+                seen["edits"] += 1
+            res = world.step(policy, DT)
+            seen["changes"] += sum(v.maneuver == "changing" for v in world.vehicles)
+            seen["aborts"] += sum(ep.outcome == "aborted" for ep in res.episodes)
+            seen["overlaps"] += res.min_gap <= 0
+    assert all(seen.values()), seen
+
+
+def test_lane_index_skips_unchanged_lanes():
+    world = make_world(WorldConfig(lane_changes_enabled=False), no_spawns=True)
+    for lane in range(3):
+        for station in (100.0, 200.0):
+            make_vehicle(world, lane=lane, station=station)
+    world.step(zero_policy, DT)
+    lane_of = world.cfg.road.lane_of
+    calls = []
+    world.cfg.road.lane_of = lambda d: calls.append(d) or lane_of(d)
+    world._lane_lists()
+    assert calls == []
+    world.vehicles[2].d += 4.0
+    lane_lists = world._lane_lists()
+    assert calls == [world.vehicles[2].d]
+    assert world.vehicles[2] in lane_lists[2]
+
+
+def test_nan_yaw_raises_numerical_error():
+    cfg = cli.parse_config(cli.default_config_dict(0))
+    rngs = make_rngs(0)
+    world = World(cfg.world, rngs["spawn"], rngs["trigger"])
+    with pytest.raises(NumericalError, match=r"^step 239: vehicle 3 .* d=nan$"):
+        for _ in range(300):
+            world.step(lambda states: [math.nan] * len(states), DT)
+
+
+@pytest.mark.parametrize("d", [math.inf, -math.inf])
+def test_infinite_d_raises_numerical_error(d):
+    world = make_world(no_spawns=True)
+    make_vehicle(world)
+    make_vehicle(world, d=d)
+    with pytest.raises(NumericalError, match=rf"^step 0: vehicle 1 .* d={d}$"):
+        world.step(zero_policy, DT)
 
 
 # -- vehicle-order independence
