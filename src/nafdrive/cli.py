@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError
-from .learner import TrainConfig, batch_loss, make_rngs, run_training, td_targets
+from .learner import TrainConfig, make_rngs, run_training, td_targets
 from .longitudinal import IdmParams
 from .nafq import (NafParams, RlState, fit_gradients, greedy_policy,
                    q_gradients_batch, q_values_batch)
@@ -427,14 +427,14 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
         sb = rng.normal(size=6)
         rows.append((sa, rng.uniform(-0.5, 0.5), sb, -abs(rng.normal()),
                      0.0 if rng.uniform() < 0.2 else 1.0))
-    # (states, actions, next_states, rewards, nonterminal)
-    batch = tuple(np.array(column) for column in zip(*rows))
-    # the gradient train_step takes, against the loss it descends
-    states, actions, next_states, rewards, nonterminal = batch
+    states, actions, next_states, rewards, nonterminal = (
+        np.array(column) for column in zip(*rows))
     targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
+    # the gradient train_step takes, against the loss it descends
     _, loss_grad = fit_gradients(states, actions, targets, params)
-    loss_err = finite_diff_check(lambda: batch_loss(batch, params, target, 0.95)[0],
-                                 params.flat, loss_grad, h)
+    loss_err = finite_diff_check(
+        lambda: fit_gradients(states, actions, targets, params)[0],
+        params.flat, loss_grad, h)
 
     return {"net": net_err, "q_value": q_err, "batch_loss": loss_err}
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericalError
-from .nafq import (STATE_DIM, NafParams, fit_gradients, greedy_actions_batch,
-                   q_values_batch)
+from .nafq import STATE_DIM, NafParams, fit_gradients, greedy_actions_batch
 from .netcore import OptState, adaptive_update, net_forward
 from .simworld import EpisodeMetrics, World, WorldConfig
 
@@ -106,19 +105,6 @@ def td_targets(next_states, rewards, nonterminal, target_params, gamma):
     """r + gamma * V(s') under the frozen target value net; zero V at terminals."""
     v_next, _ = net_forward(target_params.v_net, next_states)
     return rewards + gamma * nonterminal * v_next[:, 0]
-
-
-def batch_loss(batch, params: NafParams, target_params: NafParams, gamma: float):
-    """Mean squared TD error over the batch
-    (states, actions, next_states, rewards, nonterminal); also returns
-    per-item errors."""
-    states, actions, next_states, rewards, nonterminal = batch
-    if not len(actions):
-        raise ContractError("empty batch")
-    targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
-    q, _ = q_values_batch(states, actions, params)
-    errors = targets - q
-    return float(np.mean(errors**2)), errors
 
 
 def train_step(params: NafParams, target_params: NafParams, batch,

@@ -88,17 +88,14 @@ class VehicleState:
     lane: int
     target_lane: int
     maneuver: str  # keeping | changing | aborting
-    v0: float
     length: float = 5.0
     # simulator bookkeeping
-    original_lane: int = -1
     pending_target: int | None = None
-    idm: IdmParams | None = None  # the world's IDM params with this v0
+    idm: IdmParams | None = None  # the world's IDM params with this vehicle's v0
     occupancy: int = -1  # lane holding d, as of the last lane index
     occupancy_d: float = math.nan  # the d `occupancy` was computed from
     trigger_drawn: bool = False
     episode: "EpisodeMetrics | None" = None
-    episode_steps: int = 0
 
 
 @dataclass
@@ -326,8 +323,7 @@ class World:
             self.vehicles.append(VehicleState(
                 id=self._next_id, station=0.0, d=self.cfg.road.center(lane),
                 v=v, a_lng=0.0, theta=0.0, omega=0.0, lane=lane,
-                target_lane=lane, maneuver="keeping", v0=v0,
-                idm=replace(self.cfg.idm, v0=v0),
+                target_lane=lane, maneuver="keeping", idm=replace(self.cfg.idm, v0=v0),
             ))
             self._next_id += 1
             self._next_depart[lane] = self.time + self.rng_spawn.uniform(
@@ -362,12 +358,10 @@ class World:
             )
             if assessment.acceptable:
                 veh.maneuver = "changing"
-                veh.original_lane = veh.lane
                 veh.target_lane = target
                 veh.pending_target = None
                 veh.episode = EpisodeMetrics(vehicle_id=veh.id,
                                              start_step=self.step_count)
-                veh.episode_steps = 0
 
     def _longitudinal(self, lane_lists, veh: VehicleState, faults: list[str]) -> float:
         p = veh.idm
@@ -430,11 +424,11 @@ class World:
             c = cfg.road.curvature_at(veh.station)
             step_kinematics(veh, a_lng, a_yaw, dt, c)
 
-        # monitors, completion, rewards on the post-step world
+        # monitors, completion, rewards on the post-step world; `veh.lane`
+        # is the lane a maneuver started from until its episode closes
         post_lists = self._lane_lists()
         transitions: list[StepTransition] = []
         episodes: list[EpisodeMetrics] = []
-        retired: list[VehicleState] = []
         for (veh, _a_lng), s, a_yaw in zip(changers, rl_states, a_yaws):
             if veh.maneuver == "changing":
                 assessment = gap_acceptable(
@@ -443,30 +437,30 @@ class World:
                     self._leader(post_lists, veh.target_lane, veh.station),
                     self._follower(post_lists, veh.target_lane, veh.station, veh.id),
                 )
-                decision = monitor_step(veh.d, veh.original_lane, veh.target_lane,
+                decision = monitor_step(veh.d, veh.lane, veh.target_lane,
                                         cfg.road.lane_width, assessment)
                 if decision is MonitorDecision.ABORT:
                     veh.maneuver = "aborting"
-                    veh.target_lane = veh.original_lane
+                    veh.target_lane = veh.lane
 
-            veh.episode_steps += 1
+            ep = veh.episode
+            steps = self.step_count + 1 - ep.start_step  # ticks in the episode
             done = completion_check(cfg.road, veh)
-            capped = not done and veh.episode_steps >= cfg.episode_cap_steps
+            capped = not done and steps >= cfg.episode_cap_steps
             exited = not done and veh.station > cfg.road.length
             closed = done or capped or exited
 
             s_next = build_rl_state(cfg.road, veh)
             r, r_acce, r_rate, r_dev = immediate_reward(a_yaw, s_next, cfg.rewards)
-            accumulate_metrics(veh.episode, r_acce, r_rate, r_dev)
+            accumulate_metrics(ep, r_acce, r_rate, r_dev)
             # The replay terminal flag means "no future return", which is
             # only true of genuine completion; the step cap and the road
             # exit are truncations, so the learner bootstraps through them.
             transitions.append(StepTransition(veh.id, s, a_yaw, s_next,
                                               r, r_acce, r_rate, r_dev, done))
             if closed:
-                ep = veh.episode
                 ep.end_step = self.step_count + 1
-                ep.duration = veh.episode_steps * dt
+                ep.duration = steps * dt
                 if capped:
                     ep.outcome = "capped"
                 elif exited:
@@ -477,9 +471,8 @@ class World:
                     ep.outcome = "completed"
                 episodes.append(ep)
                 veh.episode = None
-                veh.episode_steps = 0
                 if capped:
-                    retired.append(veh)
+                    self.vehicles.remove(veh)  # retired from the road
                 else:
                     veh.maneuver = "keeping"
                     veh.lane = veh.target_lane
@@ -499,10 +492,8 @@ class World:
                         f"{rear.id} and {front.id} (gap {gap:.3f})"
                     )
 
-        self.vehicles = [
-            veh for veh in self.vehicles
-            if veh.station <= cfg.road.length and veh not in retired
-        ]
+        self.vehicles = [veh for veh in self.vehicles
+                         if veh.station <= cfg.road.length]
 
         self.time += dt
         self.step_count += 1

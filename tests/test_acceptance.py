@@ -263,7 +263,7 @@ def test_criterion_9_single_vehicle_closed_loop():
         world.step(lambda s: [], DT)
     world._next_depart = [math.inf] * cfg.road.lanes
     veh = world.vehicles[0]
-    v_ref, s_ref, v0 = veh.v, veh.station, veh.v0
+    v_ref, s_ref, v0 = veh.v, veh.station, veh.idm.v0
 
     worst = 0.0
     for _ in range(1000):  # 100 s

@@ -148,7 +148,7 @@ def test_step_kinematics_equals_builtin_speed_floor():
             for a_yaw in (0.0, 0.1, NAN):
                 for c in (0.0, 0.001):
                     got = VehicleState(0, 10.0, 5.625, v, 0.0, 0.01, -0.0, 1, 1,
-                                       "changing", 30.0)
+                                       "changing")
                     want = replace(got)
                     assert step_kinematics(got, a, a_yaw, 0.1, c) is got
                     _ref_step_kinematics(want, a, a_yaw, 0.1, c)

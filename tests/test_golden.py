@@ -1,6 +1,7 @@
 """Golden outputs: a short seed-0 `nafdrive train`, an `eval` and a `trace` of
-its final checkpoint, and the seed-0 gradient audit must reproduce pinned
-bytes.
+its final checkpoint, the seed-0 gradient audit, a world driven through every
+episode outcome, and the benchmark's train config at seeds 0-2 must reproduce
+pinned bytes.
 
 A refactor or optimisation that keeps the numbers keeps these digests.  A
 change that alters outputs on purpose updates them and says so in
@@ -11,11 +12,16 @@ steps.
 
 import hashlib
 import json
+import math
 import warnings
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
 from nafdrive.cli import checkgrad_suite, default_config_dict, main
+from nafdrive.learner import make_rngs
+from nafdrive.simworld import TrafficConfig, World, WorldConfig
 
 # sha256 prefixes of the outputs
 GOLDEN = {
@@ -29,6 +35,29 @@ GOLDEN = {
 # the max relative errors of `checkgrad_suite(0)`, exactly
 CHECKGRAD_SEED0 = {"net": 3.33268076921267e-09, "q_value": 1.6243408730407188e-06,
                    "batch_loss": 6.15911031303485e-07}
+
+# sha256 prefix of the lifecycle run's ticks and final vehicles, and the
+# outcomes of the episodes it closes
+LIFECYCLE = "ec46f9eed0376821"
+LIFECYCLE_OUTCOMES = {"capped": 12, "exited": 5, "completed": 2, "aborted": 1}
+
+# sha256 prefixes of the benchmark's train config (3000 steps, pretrain 750,
+# checkpoints at 1500 and 3000), an eval of its last checkpoint (30 episodes
+# at world seed 1000) and a trace (world seed = train seed), per train seed
+PERFBENCH_CONFIG = {
+    0: {"loss.csv": "76b8084762d4495a", "episodes.csv": "26da66765044de5c",
+        "checkpoint_00001500.json": "32d9a8ade0a0f238",
+        "checkpoint_00003000.json": "1199f13bc5fcf83c",
+        "eval.csv": "dac62b49e741e42a", "trace.csv": "f6826ef599a9f4cd"},
+    1: {"loss.csv": "24b156ca80136663", "episodes.csv": "332900dba2ddaf04",
+        "checkpoint_00001500.json": "badad672ee2e5384",
+        "checkpoint_00003000.json": "9e4338fb8eb1acd8",
+        "eval.csv": "5eec6966598bc5fc", "trace.csv": "bdb0cbcc6f630917"},
+    2: {"loss.csv": "2a8fdecef7ff716d", "episodes.csv": "57d27c40df7874f6",
+        "checkpoint_00001500.json": "3cb876508f6048aa",
+        "checkpoint_00003000.json": "7091645902b6b8e6",
+        "eval.csv": "f5f5547925584328", "trace.csv": "1fa7105d34e3ae2f"},
+}
 
 
 def sha256_prefix(path) -> str:
@@ -73,3 +102,63 @@ def test_golden_train_raises_no_warning(golden_run):
 
 def test_checkgrad_errors_match_golden_values():
     assert checkgrad_suite(0) == CHECKGRAD_SEED0
+
+
+def damped_policy(states):
+    """A fixed third-order pole placement toward the target lane (T = 1),
+    squashed to 0.3 rad/s^2."""
+    actions = []
+    for s in states:
+        a_tmp = -(s.delta_d_lat + 3.0 * s.v * math.sin(s.theta)
+                  + 3.0 * s.v * s.omega) / (s.v if s.v > 1.0 else 1.0)
+        actions.append(0.3 * math.tanh(3.0 * a_tmp))
+    return actions
+
+
+def test_lifecycle_matches_golden_digest():
+    """Dense traffic, a short step cap and a steering policy close episodes
+    with all four outcomes; a capped vehicle leaves the road in the tick
+    that caps it."""
+    cfg = WorldConfig(traffic=TrafficConfig(depart_min=2.0, depart_max=4.0),
+                      episode_cap_steps=80)
+    rngs = make_rngs(0)
+    world = World(cfg, rngs["spawn"], rngs["trigger"])
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for _ in range(3000):
+        res = world.step(damped_policy, 0.1)
+        h.update(repr((
+            [(t.vehicle_id, tuple(t.s), t.a_yaw, tuple(t.s_next), t.r,
+              t.r_acce, t.r_rate, t.r_dev, t.terminal) for t in res.transitions],
+            [astuple(ep) for ep in res.episodes],
+            res.min_gap, res.faults,
+        )).encode())
+        outcomes.update(ep.outcome for ep in res.episodes)
+        present = {veh.id for veh in world.vehicles}
+        assert not [ep.vehicle_id for ep in res.episodes
+                    if ep.outcome == "capped" and ep.vehicle_id in present]
+    h.update(repr([(v.id, v.station, v.d, v.v, v.a_lng, v.theta, v.omega, v.lane,
+                    v.target_lane, v.maneuver) for v in world.vehicles]).encode())
+    assert world.fault_log == []
+    assert dict(outcomes) == LIFECYCLE_OUTCOMES
+    assert h.hexdigest()[:16] == LIFECYCLE
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(PERFBENCH_CONFIG))
+def test_perfbench_config_matches_golden_digests(tmp_path, seed):
+    data = default_config_dict(seed=seed)
+    data["train"].update(total_steps=3000, pretrain_steps=750,
+                         checkpoint_schedule=[1500, 3000])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    checkpoint = str(run / "checkpoint_00003000.json")
+    assert main(["eval", "--checkpoint", checkpoint, "--config", str(cfg),
+                 "--episodes", "30", "--seed", "1000",
+                 "--out", str(run / "eval.csv")]) == 0
+    assert main(["trace", "--checkpoint", checkpoint, "--config", str(cfg),
+                 "--seed", str(seed), "--out", str(run / "trace.csv")]) == 0
+    assert ({name: sha256_prefix(run / name) for name in PERFBENCH_CONFIG[seed]}
+            == PERFBENCH_CONFIG[seed])

@@ -45,11 +45,10 @@ def make_vehicle(world, *, lane=1, target=None, station=200.0, v=15.0,
         d=road.center(lane) if d is None else d,
         v=v, a_lng=0.0, theta=theta, omega=omega, lane=lane,
         target_lane=lane if target is None else target,
-        maneuver=maneuver, v0=30.0, idm=replace(world.cfg.idm, v0=30.0),
+        maneuver=maneuver, idm=replace(world.cfg.idm, v0=30.0),
     )
     world._next_id += 1
     if maneuver != "keeping":
-        veh.original_lane = lane
         veh.episode = EpisodeMetrics(vehicle_id=veh.id,
                                      start_step=world.step_count)
     world.vehicles.append(veh)
@@ -77,14 +76,14 @@ def test_curvature_profile_piecewise():
 
 
 def test_kinematics_cruise_only_station_advances():
-    veh = VehicleState(0, 10.0, 5.625, 20.0, 0.0, 0.0, 0.0, 1, 1, "keeping", 30.0)
+    veh = VehicleState(0, 10.0, 5.625, 20.0, 0.0, 0.0, 0.0, 1, 1, "keeping")
     new = step_kinematics(veh, 0.0, 0.0, DT, 0.0)
     assert new.station == pytest.approx(10.0 + 20.0 * DT, abs=1e-12)
     assert (new.d, new.theta, new.omega) == (5.625, 0.0, 0.0)
 
 
 def test_kinematics_hand_case():
-    veh = VehicleState(0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 0, 0, "changing", 30.0)
+    veh = VehicleState(0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 0, 0, "changing")
     new = step_kinematics(veh, 0.0, 0.1, DT, 0.0)
     assert new.omega == pytest.approx(0.01, abs=1e-15)
     assert new.theta == pytest.approx(0.001, abs=1e-15)
@@ -93,9 +92,9 @@ def test_kinematics_hand_case():
 
 
 def test_kinematics_mirror_symmetry():
-    veh = VehicleState(0, 0.0, 1.0, 20.0, 0.0, 0.02, 0.05, 0, 0, "changing", 30.0)
+    veh = VehicleState(0, 0.0, 1.0, 20.0, 0.0, 0.02, 0.05, 0, 0, "changing")
     mirror = VehicleState(0, 0.0, -1.0, 20.0, 0.0, -0.02, -0.05, 0, 0,
-                          "changing", 30.0)
+                          "changing")
     a = step_kinematics(veh, 0.5, 0.1, DT, 0.0)
     b = step_kinematics(mirror, 0.5, -0.1, DT, 0.0)
     assert b.d == pytest.approx(-a.d, abs=1e-15)
@@ -104,13 +103,13 @@ def test_kinematics_mirror_symmetry():
 
 
 def test_kinematics_speed_floor():
-    veh = VehicleState(0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0, 0, "keeping", 30.0)
+    veh = VehicleState(0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0, 0, "keeping")
     new = step_kinematics(veh, -9.0, 0.0, DT, 0.0)
     assert new.v == 0.0
 
 
 def test_kinematics_curvature_correction():
-    veh = VehicleState(0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 0, 0, "changing", 30.0)
+    veh = VehicleState(0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 0, 0, "changing")
     new = step_kinematics(veh, 0.0, 0.0, DT, 0.001)
     assert new.theta == pytest.approx(-0.001 * 20.0 * DT, abs=1e-15)
 
@@ -247,7 +246,7 @@ def test_keeper_invariance():
 def test_single_free_vehicle_matches_scalar_integration():
     world = make_world(no_spawns=True)
     veh = make_vehicle(world, lane=0, station=0.0, v=10.0)
-    p = world.cfg.idm.__class__(**{**world.cfg.idm.__dict__, "v0": veh.v0})
+    p = world.cfg.idm.__class__(**{**world.cfg.idm.__dict__, "v0": veh.idm.v0})
     v_ref, s_ref = 10.0, 0.0
     for _ in range(300):
         a = free_leader_accel(v_ref, p)
