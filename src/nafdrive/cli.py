@@ -298,7 +298,7 @@ def cmd_train(config_path: str, out_dir: str, seed_override=None) -> int:
 
     write_csv(
         os.path.join(out_dir, "loss.csv"), ["step", "loss"],
-        [(s, "" if l is None else _fmt(l)) for s, l in loss_rows],
+        [(s, "" if l is None else l) for s, l in loss_rows],
         comment=f"loss sampled every {cfg.train.loss_log_every} global steps; "
                 "empty before the first trained step",
     )
@@ -332,12 +332,9 @@ def cmd_eval(checkpoint_path: str, config_path: str, episodes: int, seed: int,
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [_episode_row(ep) for ep in eps]
-    n = len(eps)
-    rows.append(["summary", "", "", sum(ep.duration for ep in eps) / n,
-                 sum(ep.R for ep in eps) / n,
-                 sum(ep.R_acce for ep in eps) / n,
-                 sum(ep.R_rate for ep in eps) / n,
-                 sum(ep.R_dev for ep in eps) / n, ""])
+    # the mean of each numeric column: duration_s, R, R_acce, R_rate, R_dev
+    means = [sum(col) / len(eps) for col in zip(*(row[3:8] for row in rows))]
+    rows.append(["summary", "", "", *means, ""])
     write_csv(out_path, EPISODE_HEADER, rows)
     return 0
 
@@ -352,28 +349,28 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
     rngs = make_rngs(seed)
     world = World(world_cfg, rngs["spawn"], rngs["trigger"])
     policy = greedy_policy(params)
-    traced_id = None
-    last_target = 0
+    # the traced vehicle's record is held: it outlives the vehicle's removal
+    # from the road, when it is capped or exits in the tick its episode closes
+    traced = None
     rows = []
     for _ in range(max_steps):
+        present = world.vehicles[:] if traced is None else None
         result = world.step(policy, dt)
         for tr in result.transitions:
-            if traced_id is None:
-                traced_id = tr.vehicle_id
-            if tr.vehicle_id != traced_id:
+            if traced is None:
+                traced = next(veh for veh in present + world.vehicles
+                              if veh.id == tr.vehicle_id)
+            if tr.vehicle_id != traced.id:
                 continue
-            for veh in world.vehicles:
-                if veh.id == traced_id:
-                    last_target = veh.target_lane
-                    break
             k = len(rows)
-            d = tr.s_next.delta_d_lat + world.cfg.road.center(last_target)
+            d = tr.s_next.delta_d_lat + world.cfg.road.center(traced.target_lane)
             rows.append([k, k * dt, tr.a_yaw, tr.s_next.omega,
                          tr.s_next.theta, d, tr.s_next.delta_d_lat,
                          tr.r, tr.r_acce, tr.r_rate, tr.r_dev])
         # transition.terminal covers completion only; capped/exited
         # episodes close through the episode record, so watch for that
-        if any(ep.vehicle_id == traced_id for ep in result.episodes):
+        if traced is not None and any(ep.vehicle_id == traced.id
+                                      for ep in result.episodes):
             return rows
     raise RuntimeError(f"no lane-change episode finished within {max_steps} steps")
 

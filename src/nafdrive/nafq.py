@@ -147,7 +147,7 @@ class Heads:
             self.v = self.o["v_net"]
 
     def _greedy_head(self, params: NafParams, S):
-        # the two sigmoids are kept for the gradient chain in _q_upstreams
+        # the two sigmoids are kept for the gradient chain in _q_backward
         self.sig_amax = _sigmoid(self.o["amax_net"])
         self.sig_ttrans = _sigmoid(self.o["ttrans_net"])
         self.a_max = params.a_cap * self.sig_amax
@@ -173,7 +173,8 @@ class Heads:
 
 def q_values_batch(states, actions: np.ndarray, params: NafParams):
     """Q over the rows of `states` (n, 6) and `actions` (n,), and the Heads
-    it was computed from."""
+    it was computed from.  This is the one place Q is evaluated; the
+    gradient functions below take Q and the Heads from it."""
     h = Heads(params, states)
     diff = h.mu - np.asarray(actions, dtype=float)
     return h.m * diff * diff + h.v, h
@@ -195,16 +196,15 @@ def greedy_policy(params: NafParams):
     return policy
 
 
-def _q_upstreams(h: Heads, params: NafParams, actions: np.ndarray, nets):
-    """Q per item, and per-item dQ/d(raw head output) for each network in
-    `nets`, chaining through the quadratic form, the head transforms, tanh,
+def _q_backward(h: Heads, params: NafParams, actions: np.ndarray, coeffs, nets):
+    """Gradient of sum_i coeffs_i * Q(s_i, a_i) through the networks in
+    `nets`, laid out like `params.flat`; the spans of the other nets are
+    zero.  Each net's upstream is coeffs times the per-item dQ/d(raw net
+    output), chained through the quadratic form, the head transforms, tanh,
     and the transition-time dependency of a_tmp
     (d a_tmp / d T = -2*dd/T^3 - dv*dphi/T^2)."""
     diff = h.mu - actions
-    q = h.m * diff * diff + h.v
-
-    dq_dm = diff * diff
-    upstream = {"m_net": -dq_dm * _sigmoid(h.o["m_net"]), "v_net": np.ones_like(q)}
+    upstream = {"m_net": -(diff * diff) * _sigmoid(h.o["m_net"]), "v_net": 1.0}
     if not set(nets).isdisjoint(NafParams.MU_NET_NAMES):
         dq_dmu = 2.0 * h.m * diff
         sech2 = 1.0 - h.tanh_arg**2
@@ -223,16 +223,10 @@ def _q_upstreams(h: Heads, params: NafParams, actions: np.ndarray, nets):
                                   * (params.t_max - params.t_min)
                                   * sig3
                                   * (1.0 - sig3))
-    return q, {name: upstream[name] for name in nets}
 
-
-def _weighted_backward(h: Heads, params: NafParams, upstream: dict, coeffs):
-    """Gradient of sum_i coeffs_i * Q_i through the networks `upstream`
-    names, laid out like `params.flat`; the spans of the other nets are
-    zero."""
     grad = np.zeros(params.flat.shape)
-    for name, up_q in upstream.items():
-        up = (coeffs * up_q)[:, None]
+    for name in nets:
+        up = (coeffs * upstream[name])[:, None]
         g = net_backward(getattr(params, name), h.caches[name], up,
                          grad[params.span(name)])
         if not np.isfinite(g.sum()):
@@ -247,10 +241,9 @@ def q_gradients_batch(states, actions, coeffs, params: NafParams):
     Returns (grad, q_values); grad is laid out like `params.flat`.
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
+    q, h = q_values_batch(states, a, params)
     w = np.asarray(coeffs, dtype=float).reshape(-1)
-    h = Heads(params, states)
-    q, upstream = _q_upstreams(h, params, a, NafParams.NET_NAMES)
-    return _weighted_backward(h, params, upstream, w), q
+    return _q_backward(h, params, a, w, NafParams.NET_NAMES), q
 
 
 def fit_gradients(states, actions, targets, params: NafParams,
@@ -264,10 +257,7 @@ def fit_gradients(states, actions, targets, params: NafParams,
     nets.
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
-    t = np.asarray(targets, dtype=float).reshape(-1)
-    h = Heads(params, states)
-    q, upstream = _q_upstreams(h, params, a, nets)
-    errors = q - t
+    q, h = q_values_batch(states, a, params)
+    errors = q - np.asarray(targets, dtype=float).reshape(-1)
     loss = float(np.mean(errors**2))
-    coeffs = (2.0 / len(a)) * errors
-    return loss, _weighted_backward(h, params, upstream, coeffs)
+    return loss, _q_backward(h, params, a, (2.0 / len(a)) * errors, nets)

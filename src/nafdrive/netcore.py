@@ -90,8 +90,8 @@ def net_forward(net: Network, x):
     """Forward pass over the rows of the batch x (n, d).  Returns (y, cache)
     with y of shape (n, out).
 
-    The cache stores each layer's input and the hidden activations, which
-    net_backward consumes.
+    The cache is the list of each affine layer's input, which net_backward
+    consumes: x, then the tanh output of each hidden layer.
     """
     h = np.asarray(x, dtype=float)
     if h.ndim != 2 or h.shape[1] != net.layer_dims[0]:
@@ -99,18 +99,14 @@ def net_forward(net: Network, x):
             f"input shape {h.shape} is not a batch of layer_dims {net.layer_dims}"
         )
     last = len(net.layout) - 1
-    inputs = []   # input to each affine layer
-    acts = []     # tanh output of each hidden layer (None for the last, linear layer)
+    inputs = []
     for k in range(last + 1):
         inputs.append(h)
         h = h @ net.weights[k].T
         h += net.biases[k]
         if k < last:
             np.tanh(h, out=h)
-            acts.append(h)
-        else:
-            acts.append(None)
-    return h, (inputs, acts)
+    return h, inputs
 
 
 def net_backward(net: Network, cache, upstream, out=None):
@@ -120,7 +116,7 @@ def net_backward(net: Network, cache, upstream, out=None):
     contribute additively; the gradient is written to the flat vector `out`
     (a new one when not given) in the parameter layout, and returned.
     """
-    inputs, acts = cache
+    inputs = cache
     if (len(inputs) != len(net.layout)
             or any(h.shape[1] != d
                    for h, d in zip(inputs, net.layer_dims[:-1]))):
@@ -140,7 +136,7 @@ def net_backward(net: Network, cache, upstream, out=None):
         np.matmul(delta.T, inputs[k], out=out[w].reshape(net.weights[k].shape))
         delta.sum(axis=0, out=out[b])
         if k > 0:
-            delta = (delta @ net.weights[k]) * (1.0 - acts[k - 1] ** 2)  # tanh'
+            delta = (delta @ net.weights[k]) * (1.0 - inputs[k] ** 2)  # tanh'
     return out
 
 

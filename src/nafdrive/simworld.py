@@ -420,9 +420,8 @@ class World:
         # own vehicle
         for veh, a_lng in keepers:
             step_kinematics(veh, a_lng, 0.0, dt, 0.0)
-        for (veh, a_lng), a_yaw in zip(changers, a_yaws, strict=True):
-            c = cfg.road.curvature_at(veh.station)
-            step_kinematics(veh, a_lng, a_yaw, dt, c)
+        for (veh, a_lng), s, a_yaw in zip(changers, rl_states, a_yaws, strict=True):
+            step_kinematics(veh, a_lng, a_yaw, dt, s.c)  # c at the pre-step station
 
         # monitors, completion, rewards on the post-step world; `veh.lane`
         # is the lane a maneuver started from until its episode closes

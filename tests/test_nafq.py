@@ -283,6 +283,26 @@ def test_fit_restricted_to_q_nets_matches_full_fit():
     assert np.any(grad[params.span(*NafParams.MU_NET_NAMES)] != 0.0)
 
 
+@pytest.mark.parametrize("nets", [NafParams.NET_NAMES, ("m_net", "v_net")])
+def test_fit_is_the_q_gradient_weighted_by_the_td_error(nets):
+    # the one Q evaluation and the one backward pass: fit_gradients equals,
+    # bit for bit, q_values_batch's loss and q_gradients_batch's gradient
+    # with coefficients (2/N)(Q - target), on the span of the nets it fits
+    rng = np.random.default_rng(13)
+    params = NafParams.init(rng, hidden=(8,))
+    states = np.array([random_state(rng) for _ in range(16)])
+    actions, targets = rng.uniform(-0.5, 0.5, 16), rng.normal(size=16)
+    loss, grad = fit_gradients(states, actions, targets, params, nets)
+    q, _ = q_values_batch(states, actions, params)
+    q_grad, q_again = q_gradients_batch(states, actions,
+                                        (2.0 / len(q)) * (q - targets), params)
+    span = params.span(*nets)
+    assert np.array_equal(q_again, q)
+    assert loss == float(np.mean((q - targets) ** 2))
+    assert np.array_equal(grad[span], q_grad[span])
+    assert not grad[:span.start].any() and not grad[span.stop:].any()
+
+
 def test_constants_defaults():
     params = NafParams.init(0, hidden=(8,))
     assert (params.a_cap, params.t_min, params.t_max, params.m_eps) == \

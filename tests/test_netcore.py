@@ -100,6 +100,18 @@ def test_forward_dim_mismatch():
             net_forward(net, x)
 
 
+def test_forward_cache_is_each_layer_input_once():
+    net = net_init([3, 5, 4, 2], seed=3)
+    x = np.random.default_rng(4).normal(size=(7, 3))
+    _, cache = net_forward(net, x)
+    assert len(cache) == len(net.weights)
+    assert all(type(h) is np.ndarray for h in cache)
+    assert np.array_equal(cache[0], x)
+    for k in range(len(net.weights) - 1):  # cache[k + 1] is layer k's tanh output
+        assert np.array_equal(cache[k + 1],
+                              np.tanh(cache[k] @ net.weights[k].T + net.biases[k]))
+
+
 def test_backward_linear_layer_derivatives():
     # y = w*x + b: dw = x, db = 1
     net = Network([1, 1], np.array([1.7, 0.0]))

@@ -580,3 +580,54 @@ def test_array_policy_gets_state_rows_and_leaves_plain_floats():
     assert all(type(x) is float for tr in transitions for x in float_fields(tr))
     assert len(float_fields(transitions[0])) == 5  # a_yaw and the four rewards
     assert all(type(x) is float for ep in episodes for x in float_fields(ep))
+
+
+# -- the trace follows its vehicle's record
+
+
+def run_trace_on(monkeypatch, world, policy, veh):
+    """`cli.run_trace` on the hand-built `world` under `policy`, and `veh`'s
+    own d after each tick in which it made a transition."""
+    own_d = []
+    step = world.step
+
+    def recording_step(policy, dt):
+        result = step(policy, dt)
+        if any(tr.vehicle_id == veh.id for tr in result.transitions):
+            own_d.append(veh.d)
+        return result
+
+    world.step = recording_step
+    monkeypatch.setattr(cli, "World", lambda *args: world)
+    monkeypatch.setattr(cli, "greedy_policy", lambda params: policy)
+    return cli.run_trace(None, world.cfg, DT, 0), own_d
+
+
+def test_trace_d_when_abort_and_cap_share_a_tick(monkeypatch):
+    world = make_world(WorldConfig(episode_cap_steps=2), no_spawns=True)
+    ego = make_vehicle(world, lane=1, target=2, maneuver="changing",
+                       station=200.0, v=15.0, d=5.9)
+    calls = []
+
+    def policy(states):
+        calls.append(len(states))
+        if len(calls) == 2:  # a fast target-lane follower forces the abort
+            make_vehicle(world, lane=2, station=192.0, v=33.0)
+        return zero_policy(states)
+
+    rows, own_d = run_trace_on(monkeypatch, world, policy, ego)
+    assert ego.maneuver == "aborting" and ego not in world.vehicles  # capped
+    assert len(rows) == len(own_d) == 2
+    assert [row[5] for row in rows] == pytest.approx(own_d, abs=1e-9)
+
+
+def test_trace_d_when_maneuver_starts_and_exits_in_one_tick(monkeypatch):
+    world = make_world(no_spawns=True)
+    ego = make_vehicle(world, lane=1, station=999.5, v=15.0)
+    ego.trigger_drawn = True
+    ego.pending_target = 2
+
+    rows, own_d = run_trace_on(monkeypatch, world, zero_policy, ego)
+    assert ego.station > world.cfg.road.length and ego not in world.vehicles
+    assert len(rows) == len(own_d) == 1
+    assert [row[5] for row in rows] == pytest.approx(own_d, abs=1e-9)
