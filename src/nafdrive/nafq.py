@@ -176,6 +176,8 @@ def q_values_batch(states, actions: np.ndarray, params: NafParams):
     it was computed from.  This is the one place Q is evaluated; the
     gradient functions below take Q and the Heads from it."""
     h = Heads(params, states)
+    if np.shape(actions) != h.mu.shape:
+        raise ContractError(f"actions of shape {np.shape(actions)}, expected {h.mu.shape}")
     diff = h.mu - np.asarray(actions, dtype=float)
     return h.m * diff * diff + h.v, h
 

@@ -94,6 +94,8 @@ class VehicleState:
     idm: IdmParams | None = None  # the world's IDM params with this vehicle's v0
     occupancy: int = -1  # lane holding d, as of the last lane index
     occupancy_d: float = math.nan  # the d `occupancy` was computed from
+    # nearest vehicle strictly ahead in `occupancy`, as of the pre-step index
+    lead: "VehicleState | None" = field(default=None, repr=False)
     trigger_drawn: bool = False
     episode: "EpisodeMetrics | None" = None
 
@@ -365,16 +367,18 @@ class World:
 
     def _longitudinal(self, lane_lists, veh: VehicleState, faults: list[str]) -> float:
         p = veh.idm
-        occ = veh.occupancy  # d has not changed since `lane_lists` was built
+        lead = veh.lead  # as `_leader(lane_lists, veh.occupancy, veh.station)` finds it
+        own_leader = None
+        if lead is not None:
+            gap = lead.station - veh.station - lead.length
+            own_leader = None if gap > self.cfg.sensing_range else (gap, lead.v)
         try:
             if veh.maneuver == "keeping":
-                leader = self._leader(lane_lists, occ, veh.station)
-                if leader is None:
+                if own_leader is None:
                     return free_leader_accel(veh.v, p)
-                return idm_accel(veh.v, veh.v - leader[1], leader[0], p)
-            own_leader = self._leader(lane_lists, occ, veh.station)
+                return idm_accel(veh.v, veh.v - own_leader[1], own_leader[0], p)
             target_leader = (self._leader(lane_lists, veh.target_lane, veh.station)
-                             if veh.target_lane != occ else None)
+                             if veh.target_lane != veh.occupancy else None)
             return dual_leader_accel(veh.v, p, own_leader, target_leader)
         except ContractError:
             # non-positive gap: collision state; brake hard, record the fault
@@ -399,6 +403,15 @@ class World:
         # occupancy depends only on d, which _initiate_pending leaves alone,
         # so this one index serves both it and the longitudinal decisions
         lane_lists = self._lane_lists()
+        # one walk from each lane's front gives every vehicle its leader;
+        # vehicles tied at a station share the one past them, as in `_leader`
+        for lst in lane_lists:
+            lead = ahead = None
+            for veh in reversed(lst):
+                if ahead is not None and ahead.station > veh.station:
+                    lead = ahead
+                veh.lead = lead
+                ahead = veh
         self._initiate_pending(lane_lists)
 
         # pre-step decisions from a shared snapshot, before any vehicle moves
@@ -491,8 +504,13 @@ class World:
                         f"{rear.id} and {front.id} (gap {gap:.3f})"
                     )
 
-        self.vehicles = [veh for veh in self.vehicles
-                         if veh.station <= cfg.road.length]
+        on_road = [veh for veh in self.vehicles if veh.station <= cfg.road.length]
+        if len(on_road) < len(self.vehicles):  # exits, or a NaN station to refuse
+            for veh in self.vehicles:
+                if veh.station != veh.station:
+                    raise NumericalError(f"step {self.step_count}: vehicle "
+                                         f"{veh.id} has station={veh.station}")
+        self.vehicles = on_road
 
         self.time += dt
         self.step_count += 1

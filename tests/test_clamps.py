@@ -6,12 +6,14 @@ Each reference below is the function as written with the builtin `min` and
 reverse), counts as a difference.
 """
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from nafdrive.errors import ContractError
+from nafdrive.errors import ContractError, NumericalError
 from nafdrive.gapcheck import required_gap
 from nafdrive.longitudinal import (IdmParams, dual_leader_accel,
                                    free_leader_accel, idm_accel)
@@ -189,15 +191,18 @@ def test_min_gap_equals_builtin_min():
     def policy(states):
         return rng.normal(0.0, 0.3, size=len(states))
 
-    nan_injected = nan_gaps = overlaps = 0
+    nan_refused = overlaps = 0
     for tick in range(2000):
         if tick % 400 == 399:
-            # a NaN station makes every gap next to that vehicle NaN
-            world.vehicles[0].station = NAN
-            nan_injected += 1
+            # a NaN station is refused, in a copy so that the run goes on
+            broken = copy.deepcopy(world)
+            del broken._lane_lists
+            broken.vehicles[0].station = NAN
+            with pytest.raises(NumericalError, match=rf"^step {tick}: vehicle "
+                               rf"{broken.vehicles[0].id} has station=nan$"):
+                broken.step(lambda states: [0.0] * len(states), 0.1)
+            nan_refused += 1
         result = world.step(policy, 0.1)
         assert repr(result.min_gap) == repr(_ref_min_gap(post_lists[-1])), tick
         overlaps += result.min_gap <= 0
-        nan_gaps += any(len(lst) > 1 and any(math.isnan(v.station) for v in lst)
-                        for lst in post_lists[-1])
-    assert nan_injected and nan_gaps and overlaps
+    assert nan_refused and overlaps

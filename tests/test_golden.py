@@ -1,7 +1,7 @@
 """Golden outputs: a short seed-0 `nafdrive train`, an `eval` and a `trace` of
 its final checkpoint, the seed-0 gradient audit, a world driven through every
-episode outcome, and the benchmark's train config at seeds 0-2 must reproduce
-pinned bytes.
+episode outcome, a dense-traffic world of lane keepers, and the benchmark's
+train config at seeds 0-2 must reproduce pinned bytes.
 
 A refactor or optimisation that keeps the numbers keeps these digests.  A
 change that alters outputs on purpose updates them and says so in
@@ -19,7 +19,7 @@ from dataclasses import astuple
 
 import pytest
 
-from nafdrive.cli import checkgrad_suite, default_config_dict, main
+from nafdrive.cli import checkgrad_suite, default_config_dict, main, parse_config
 from nafdrive.learner import make_rngs
 from nafdrive.simworld import TrafficConfig, World, WorldConfig
 
@@ -40,6 +40,11 @@ CHECKGRAD_SEED0 = {"net": 3.33268076921267e-09, "q_value": 1.6243408730407188e-0
 # outcomes of the episodes it closes
 LIFECYCLE = "ec46f9eed0376821"
 LIFECYCLE_OUTCOMES = {"capped": 12, "exited": 5, "completed": 2, "aborted": 1}
+
+# sha256 prefixes of the dense-traffic world (about 55 lane keepers) after
+# 3000 ticks, per seed, and of its fault log
+DENSE_TRAFFIC = {0: "4806472f18d52af9", 1: "593bcd6a012b28d1", 2: "b12259427b76c881"}
+DENSE_TRAFFIC_FAULTS = "4f53cda18c2baa0c"
 
 # sha256 prefixes of the benchmark's train config (3000 steps, pretrain 750,
 # checkpoints at 1500 and 3000), an eval of its last checkpoint (30 episodes
@@ -142,6 +147,26 @@ def test_lifecycle_matches_golden_digest():
     assert world.fault_log == []
     assert dict(outcomes) == LIFECYCLE_OUTCOMES
     assert h.hexdigest()[:16] == LIFECYCLE
+
+
+@pytest.mark.parametrize("seed", sorted(DENSE_TRAFFIC))
+def test_dense_traffic_matches_golden_digest(seed):
+    """The traffic-dense benchmark world: departures every 1.5-3 s and no
+    lane changes, so every vehicle keeps its lane behind its leader."""
+    data = default_config_dict(seed)
+    data["sim"]["lane_changes_enabled"] = False
+    data["traffic"].update(depart_min=1.5, depart_max=3.0)
+    cfg = parse_config(data)
+    rngs = make_rngs(seed)
+    world = World(cfg.world, rngs["spawn"], rngs["trigger"])
+    min_gap = math.inf
+    for _ in range(3000):
+        min_gap = min(min_gap, world.step(lambda states: [], cfg.train.dt).min_gap)
+    state = [(v.id, v.station, v.d, v.v, v.a_lng) for v in world.vehicles]
+    digest = hashlib.sha256(repr((world.step_count, min_gap, state)).encode())
+    assert digest.hexdigest()[:16] == DENSE_TRAFFIC[seed]
+    faults = hashlib.sha256(repr(world.fault_log).encode()).hexdigest()[:16]
+    assert faults == DENSE_TRAFFIC_FAULTS
 
 
 @pytest.mark.slow

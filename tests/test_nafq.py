@@ -303,6 +303,18 @@ def test_fit_is_the_q_gradient_weighted_by_the_td_error(nets):
     assert not grad[:span.start].any() and not grad[span.stop:].any()
 
 
+@pytest.mark.parametrize("actions", [np.zeros((3, 1)), np.zeros((1, 3)), np.zeros(2),
+                                     np.float64(0.0), [[0.0], [0.0], [0.0]]])
+def test_q_values_refuses_actions_not_of_shape_n(actions):
+    # an (n, 1) column would broadcast against the (n,) mu into an (n, n) Q
+    rng = np.random.default_rng(14)
+    params = NafParams.init(rng, hidden=(8,))
+    states = np.array([random_state(rng) for _ in range(3)])
+    with pytest.raises(ContractError, match=r"expected \(3,\)$"):
+        q_values_batch(states, actions, params)
+    assert q_values_batch(states, np.zeros(3), params)[0].shape == (3,)
+
+
 def test_constants_defaults():
     params = NafParams.init(0, hidden=(8,))
     assert (params.a_cap, params.t_min, params.t_max, params.m_eps) == \

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from nafdrive import cli
-from nafdrive.errors import NumericalError, SimulationFault
+from nafdrive.errors import ContractError, NumericalError, SimulationFault
 from nafdrive.learner import make_rngs
-from nafdrive.longitudinal import free_leader_accel
+from nafdrive.longitudinal import dual_leader_accel, free_leader_accel, idm_accel
 from nafdrive.nafq import RlState
 from nafdrive.simworld import (EpisodeMetrics, RewardWeights, RoadSpec,
                                TrafficConfig, VehicleState, World, WorldConfig,
@@ -488,6 +488,75 @@ def test_lane_index_skips_unchanged_lanes():
     assert world.vehicles[2] in lane_lists[2]
 
 
+# -- own-lane leaders
+
+
+def _walked_leader(world, veh):
+    """(gap, v) of the leader the walk in World.step recorded, or None."""
+    lead = veh.lead
+    if lead is None:
+        return None
+    gap = lead.station - veh.station - lead.length
+    return None if gap > world.cfg.sensing_range else (gap, lead.v)
+
+
+def _ref_longitudinal(world, lane_lists, veh, faults):
+    """World._longitudinal with the own-lane leader found by `_leader`."""
+    p = veh.idm
+    occ = veh.occupancy
+    try:
+        if veh.maneuver == "keeping":
+            leader = world._leader(lane_lists, occ, veh.station)
+            if leader is None:
+                return free_leader_accel(veh.v, p)
+            return idm_accel(veh.v, veh.v - leader[1], leader[0], p)
+        own_leader = world._leader(lane_lists, occ, veh.station)
+        target_leader = (world._leader(lane_lists, veh.target_lane, veh.station)
+                         if veh.target_lane != occ else None)
+        return dual_leader_accel(veh.v, p, own_leader, target_leader)
+    except ContractError:
+        faults.append(f"step {world.step_count}: vehicle {veh.id} gap<=0")
+        return -p.b_max
+
+
+def test_walked_leader_equals_bisect_every_tick():
+    seen = dict(ties=0, beyond_range=0, no_leader=0, changers=0, faults=0)
+    for seed in range(3):
+        rng = np.random.default_rng(200 + seed)
+        world = make_world(seed=seed)
+        longitudinal = world._longitudinal
+
+        def checked_longitudinal(lane_lists, veh, faults):
+            walked = _walked_leader(world, veh)
+            assert walked == world._leader(lane_lists, veh.occupancy, veh.station)
+            ref_faults, n = [], len(faults)
+            want = _ref_longitudinal(world, lane_lists, veh, ref_faults)
+            got = longitudinal(lane_lists, veh, faults)
+            assert repr(got) == repr(want)
+            assert faults[n:] == ref_faults
+            lane = lane_lists[veh.occupancy]
+            seen["ties"] += sum(v.station == veh.station for v in lane) > 1
+            seen["beyond_range"] += veh.lead is not None and walked is None
+            seen["no_leader"] += veh.lead is None
+            seen["changers"] += veh.maneuver != "keeping"
+            seen["faults"] += bool(ref_faults)
+            return got
+
+        world._longitudinal = checked_longitudinal
+
+        def policy(states):
+            return rng.normal(0.0, 0.3, size=len(states))
+
+        for tick in range(2000):
+            if world.vehicles and tick % 25 == 0:
+                # a vehicle tied at another's station in its lane
+                veh = world.vehicles[rng.integers(len(world.vehicles))]
+                make_vehicle(world, lane=world.cfg.road.lane_of(veh.d),
+                             station=veh.station, v=rng.uniform(5.0, 30.0))
+            world.step(policy, DT)
+    assert all(seen.values()), seen
+
+
 def test_nan_yaw_raises_numerical_error():
     cfg = cli.parse_config(cli.default_config_dict(0))
     rngs = make_rngs(0)
@@ -503,6 +572,14 @@ def test_infinite_d_raises_numerical_error(d):
     make_vehicle(world)
     make_vehicle(world, d=d)
     with pytest.raises(NumericalError, match=rf"^step 0: vehicle 1 .* d={d}$"):
+        world.step(zero_policy, DT)
+
+
+def test_nan_station_raises_numerical_error():
+    world = make_world(no_spawns=True)
+    make_vehicle(world)
+    make_vehicle(world, station=math.nan)
+    with pytest.raises(NumericalError, match=r"^step 0: vehicle 1 has station=nan$"):
         world.step(zero_policy, DT)
 
 
