@@ -131,7 +131,10 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigurationError(f"unknown config section: {key}")
     sec = {section: _section(data, section) for section in SECTIONS}
     road = sec["road"]
-    road["curvature_profile"] = [tuple(seg) for seg in road["curvature_profile"]]
+    road["curvature_profile"] = profile = [tuple(seg) for seg in road["curvature_profile"]]
+    if any(a[0] >= b[0] for a, b in zip(profile, profile[1:])):  # curvature_at needs this
+        raise ConfigurationError("config field road.curvature_profile must have strictly "
+                                 f"increasing start stations, not {profile!r}")
     world = WorldConfig(road=RoadSpec(**road),
                         traffic=TrafficConfig(**sec["traffic"]),
                         rewards=RewardWeights(**sec["reward"]),

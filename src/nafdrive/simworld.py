@@ -153,6 +153,7 @@ def step_kinematics(state: VehicleState, a_lng_cmd: float, a_yaw_cmd: float,
     omega, theta, v, station, d are updated in sequence; on curved
     segments the relative heading is then corrected by -c*v*dt.  The
     fields of `state` are overwritten and `state` itself is returned.
+    `World.step` moves only maneuvering vehicles with it.
     """
     omega = state.omega + a_yaw_cmd * dt
     theta = state.theta + omega * dt
@@ -262,6 +263,25 @@ class World:
         for lst in lanes:
             lst.sort(key=_STATION)
         return lanes
+
+    def _index_holds(self, lane_lists, changers) -> bool:
+        """Whether the pre-step `lane_lists` is what `_lane_lists()` would give
+        now: no vehicle joined, no changer's `d` left its lane (keepers keep
+        theirs), and each lane is still strictly increasing in station."""
+        try:
+            if (len(self.vehicles) != sum(map(len, lane_lists)) or any(
+                    self.cfg.road.lane_of(veh.d) != veh.occupancy for veh, _ in changers)):
+                return False
+        except (ValueError, OverflowError):  # left to _lane_lists(), which names it
+            return False
+        for lst in lane_lists:
+            prev = -math.inf
+            for veh in lst:
+                station = veh.station
+                if not prev < station:  # a tie, a pass or a NaN
+                    return False
+                prev = station
+        return True
 
     def _leader(self, lane_lists, lane: int, station: float):
         """(gap, v) of the nearest vehicle strictly ahead in `lane`, or None.
@@ -393,7 +413,8 @@ class World:
         policy can evaluate them in one batch.  All accelerations are
         computed from the pre-step snapshot, then all vehicles are
         integrated, then monitors/completions/rewards run on the post-step
-        state, so the result is independent of vehicle order.
+        state, so the result is independent of vehicle order.  Keepers move
+        in a straight line, and the pre-step lane index is reused when it holds.
         """
         cfg = self.cfg
         faults: list[str] = []
@@ -430,15 +451,21 @@ class World:
         a_yaws = [float(a) for a in policy(rl_states)] if rl_states else []
 
         # synchronous integration: each update reads and writes only its
-        # own vehicle
+        # own vehicle.  A keeper's theta and omega are 0.0 (set at spawn and
+        # at every close), so this is step_kinematics' straight-line case.
         for veh, a_lng in keepers:
-            step_kinematics(veh, a_lng, 0.0, dt, 0.0)
+            v = veh.v + a_lng * dt
+            v = v if v > 0.0 else 0.0  # max(0.0, v)
+            veh.station += v * dt
+            veh.v = v
+            veh.a_lng = a_lng
         for (veh, a_lng), s, a_yaw in zip(changers, rl_states, a_yaws, strict=True):
             step_kinematics(veh, a_lng, a_yaw, dt, s.c)  # c at the pre-step station
 
         # monitors, completion, rewards on the post-step world; `veh.lane`
         # is the lane a maneuver started from until its episode closes
-        post_lists = self._lane_lists()
+        post_lists = (lane_lists if self._index_holds(lane_lists, changers)
+                      else self._lane_lists())
         transitions: list[StepTransition] = []
         episodes: list[EpisodeMetrics] = []
         for (veh, _a_lng), s, a_yaw in zip(changers, rl_states, a_yaws):

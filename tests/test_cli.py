@@ -302,6 +302,26 @@ def test_non_finite_float_rejected(section, field, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("profile", [[[0, 0.001], [500, 0.002], [200, -0.001]],
+                                     [[0, 0.001], [0, 0.002]]])
+def test_unsorted_curvature_profile_rejected(profile, tmp_path, capsys):
+    # curvature_at stops at the first segment past the station, so station 300
+    # of the first profile would read 0.001, not -0.001
+    data = desk_config()
+    data["road"]["curvature_profile"] = profile
+    with pytest.raises(ConfigurationError, match=r"road\.curvature_profile .* increasing"):
+        parse_config(data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config field road.curvature_profile")
+    assert not out.exists()
+    # the first profile's segments in station order are read as written
+    data["road"]["curvature_profile"] = [[0, 0.001], [200, -0.001], [500, 0.002]]
+    assert parse_config(data).world.road.curvature_at(300.0) == -0.001
+
+
 def test_int_accepted_for_float_field():
     data = desk_config()
     data["idm"]["T"] = 2

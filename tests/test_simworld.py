@@ -16,6 +16,7 @@ from nafdrive.simworld import (EpisodeMetrics, RewardWeights, RoadSpec,
                                accumulate_metrics, build_rl_state,
                                completion_check, immediate_reward,
                                step_kinematics)
+from test_golden import damped_policy
 
 DT = 0.1
 
@@ -240,6 +241,28 @@ def test_keeper_invariance():
             assert veh.d == world.cfg.road.center(veh.lane)
 
 
+@pytest.mark.parametrize("profile, outcomes", [
+    ([], {"capped", "exited", "completed", "aborted"}),
+    ([(0.0, 0.0), (200.0, 0.002), (450.0, -0.0015), (700.0, 0.0005)], {"capped", "exited"}),
+])
+def test_keepers_never_turn(profile, outcomes):
+    """World.step moves keepers in a straight line, which is right only
+    while every keeper's theta and omega are exactly 0.0.  The lifecycle
+    world closes episodes with all four outcomes on a straight road; on
+    the curved one the damped policy completes none."""
+    cfg = WorldConfig(road=RoadSpec(curvature_profile=profile),
+                      traffic=TrafficConfig(depart_min=2.0, depart_max=4.0),
+                      episode_cap_steps=80)
+    rngs = make_rngs(0)
+    world = World(cfg, rngs["spawn"], rngs["trigger"])
+    seen = set()
+    for _ in range(3000):
+        seen.update(ep.outcome for ep in world.step(damped_policy, DT).episodes)
+        assert all(repr(v.theta) == repr(v.omega) == "0.0"
+                   for v in world.vehicles if v.maneuver == "keeping")
+    assert seen == outcomes
+
+
 # -- single-vehicle closed loop
 
 
@@ -424,36 +447,59 @@ def test_neighbour_lookups_match_linear_scan():
 # -- lane index
 
 
-def _ref_lane_lists(world):
+def _ref_lane_lists(world, vehicles=None):
     """Occupancy lanes from scratch: bucket by lane_of(d), stable sort by station."""
     road = world.cfg.road
     lanes = [[] for _ in range(road.lanes)]
-    for veh in world.vehicles:
+    for veh in world.vehicles if vehicles is None else vehicles:
         lanes[road.lane_of(veh.d)].append(veh)
     return [sorted(lst, key=lambda v: v.station) for lst in lanes]
 
 
+def _ids(lane_lists):
+    return [[v.id for v in lst] for lst in lane_lists]
+
+
 def test_lane_index_equals_reference_every_tick():
-    seen = dict(changes=0, aborts=0, off_right=0, off_left=0, overlaps=0, edits=0)
+    """Every index `_lane_lists()` builds, and the post-step index that
+    `World.step` hands to `_leader`/`_follower`, whether it reused the
+    pre-step one or rebuilt it, equals one built from scratch."""
+    seen = dict(changes=0, aborts=0, off_right=0, off_left=0, overlaps=0, edits=0,
+                added_in_policy=0, reused=0, rebuilt=0)
     for seed in range(3):
         rng = np.random.default_rng(100 + seed)
         world = make_world(seed=seed)
         road = world.cfg.road
-        index = world._lane_lists
+        index, leader, follower = world._lane_lists, world._leader, world._follower
+        built = []  # the indexes `_lane_lists()` built this tick
+        post = {}  # the post-step index and the vehicles it must hold
 
         def checked_index():
             lane_lists = index()
-            assert ([[v.id for v in lst] for lst in lane_lists]
-                    == [[v.id for v in lst] for lst in _ref_lane_lists(world)])
+            assert _ids(lane_lists) == _ids(_ref_lane_lists(world))
             assert all(v.occupancy == road.lane_of(v.d) for v in world.vehicles)
             seen["off_right"] += any(v.d < 0.0 for v in world.vehicles)
             seen["off_left"] += any(v.d >= road.lanes * road.lane_width
                                     for v in world.vehicles)
+            built.append(lane_lists)
             return lane_lists
 
+        def post_step(lookup):
+            def checked(lane_lists, *args):
+                if "vehicles" in post:  # called after the policy: the post-step index
+                    assert post.setdefault("lists", lane_lists) is lane_lists
+                return lookup(lane_lists, *args)
+            return checked
+
         world._lane_lists = checked_index
+        world._leader, world._follower = post_step(leader), post_step(follower)
 
         def policy(states):
+            if rng.uniform() < 0.05:  # a vehicle that joins after the pre-step index
+                make_vehicle(world, lane=int(rng.integers(road.lanes)),
+                             station=rng.uniform(20.0, 900.0))
+                seen["added_in_policy"] += 1
+            post["vehicles"] = list(world.vehicles)
             return rng.normal(0.0, 0.3, size=len(states))
 
         for tick in range(2000):
@@ -464,11 +510,31 @@ def test_lane_index_equals_reference_every_tick():
                 make_vehicle(world, lane=int(rng.integers(road.lanes)),
                              station=rng.uniform(20.0, 900.0))
                 seen["edits"] += 1
+            built.clear()
+            post.clear()
             res = world.step(policy, DT)
+            if "lists" in post:
+                # d and station stay as integrated for the rest of the tick
+                assert _ids(post["lists"]) == _ids(_ref_lane_lists(world, post["vehicles"]))
+                assert post["lists"] is built[-1]
+                seen["reused" if len(built) == 1 else "rebuilt"] += 1
             seen["changes"] += sum(v.maneuver == "changing" for v in world.vehicles)
             seen["aborts"] += sum(ep.outcome == "aborted" for ep in res.episodes)
             seen["overlaps"] += res.min_gap <= 0
     assert all(seen.values()), seen
+
+
+def test_post_step_index_orders_a_tie_as_a_rebuild_does():
+    """A keeper that reaches another's station in one tick: the pre-step
+    order no longer holds, and the rebuilt index puts the tied pair in
+    `World.vehicles` order."""
+    world = make_world(WorldConfig(lane_changes_enabled=False), no_spawns=True)
+    ahead = make_vehicle(world, lane=0, station=101.0, v=0.0)
+    behind = make_vehicle(world, lane=0, station=100.0, v=10.0)
+    world._longitudinal = lambda lane_lists, veh, faults: 0.0
+    res = world.step(zero_policy, DT)
+    assert behind.station == ahead.station == 101.0
+    assert res.faults == [f"step 0: overlap between {ahead.id} and {behind.id} (gap -5.000)"]
 
 
 def test_lane_index_skips_unchanged_lanes():
