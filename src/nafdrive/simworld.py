@@ -264,16 +264,10 @@ class World:
             lst.sort(key=_STATION)
         return lanes
 
-    def _index_holds(self, lane_lists, changers) -> bool:
-        """Whether the pre-step `lane_lists` is what `_lane_lists()` would give
-        now: no vehicle joined, no changer's `d` left its lane (keepers keep
-        theirs), and each lane is still strictly increasing in station."""
-        try:
-            if (len(self.vehicles) != sum(map(len, lane_lists)) or any(
-                    self.cfg.road.lane_of(veh.d) != veh.occupancy for veh, _ in changers)):
-                return False
-        except (ValueError, OverflowError):  # left to _lane_lists(), which names it
-            return False
+    @staticmethod
+    def _lanes_ordered(lane_lists) -> bool:
+        """Whether each lane is still strictly increasing in station, so that
+        sorting it again would give the same order."""
         for lst in lane_lists:
             prev = -math.inf
             for veh in lst:
@@ -414,7 +408,9 @@ class World:
         computed from the pre-step snapshot, then all vehicles are
         integrated, then monitors/completions/rewards run on the post-step
         state, so the result is independent of vehicle order.  Keepers move
-        in a straight line, and the pre-step lane index is reused when it holds.
+        in a straight line; in a tick with no maneuvering vehicle the
+        pre-step lane index serves after integration while every lane keeps
+        its order.
         """
         cfg = self.cfg
         faults: list[str] = []
@@ -464,7 +460,9 @@ class World:
 
         # monitors, completion, rewards on the post-step world; `veh.lane`
         # is the lane a maneuver started from until its episode closes
-        post_lists = (lane_lists if self._index_holds(lane_lists, changers)
+        # with no changers no d moved and the policy, which may edit
+        # `self.vehicles`, was not called, so only the order can be stale
+        post_lists = (lane_lists if not changers and self._lanes_ordered(lane_lists)
                       else self._lane_lists())
         transitions: list[StepTransition] = []
         episodes: list[EpisodeMetrics] = []

@@ -159,33 +159,43 @@ def test_step_kinematics_equals_builtin_speed_floor():
 
 
 def test_keeper_update_equals_step_kinematics():
-    """World.step moves a keeper without step_kinematics; at every speed it
-    reaches, the result is step_kinematics' with no yaw and no curvature."""
+    """World.step moves a keeper without step_kinematics; at every finite
+    speed it reaches, the result is step_kinematics' with no yaw and no
+    curvature, and at an infinite one the keeper exits."""
     fields = ("station", "d", "v", "a_lng", "theta", "omega")
     world = World(WorldConfig(lane_changes_enabled=False), np.random.default_rng(0),
                   np.random.default_rng(1))
     world._next_depart = [INF] * world.cfg.road.lanes
-    want, accel = {}, {}
+    want, accel, infinite = {}, {}, []
     for v in SPEEDS + [1.0]:
         for a in EDGES + [-10.0, 2.0]:
             k = len(world.vehicles)
             veh = VehicleState(k, 10.0 * k, world.cfg.road.center(k % 3), v, 0.0, 0.0, 0.0,
                                k % 3, k % 3, "keeping", idm=IdmParams())
             ref = _ref_step_kinematics(replace(veh), a, 0.0, 0.1, 0.0)
-            if ref.v == INF:
-                # an infinite speed (from no config) made the old path's d NaN
-                assert math.isnan(ref.d)
-                continue
             world.vehicles.append(veh)
-            want[k], accel[k] = ref, a
+            accel[k] = a
+            if ref.v == INF:
+                # an infinite speed (from no config) made the old path's d NaN,
+                # which raised NumericalError
+                assert math.isnan(ref.d)
+                infinite.append(veh)
+            else:
+                want[k] = ref
     calls = []
     world._longitudinal = lambda lane_lists, veh, faults: calls.append(veh.id) or accel[veh.id]
     vehicles = list(world.vehicles)
     world.step(lambda states: [], 0.1)
-    assert calls == list(accel) and len(vehicles) == 9 * 7 - 11
+    assert calls == list(accel) and len(infinite) == 11
+    # such a keeper now keeps its d and leaves the road as an exit, with no error
+    on_road = {veh.id for veh in world.vehicles}
+    for veh in infinite:
+        assert veh.station == INF and veh.d == world.cfg.road.center(veh.id % 3)
+        assert veh.id not in on_road
     for veh in vehicles:
-        assert ([repr(getattr(veh, f)) for f in fields]
-                == [repr(getattr(want[veh.id], f)) for f in fields]), (veh, accel[veh.id])
+        if veh.id in want:
+            assert ([repr(getattr(veh, f)) for f in fields]
+                    == [repr(getattr(want[veh.id], f)) for f in fields]), (veh, accel[veh.id])
 
 
 def test_lane_of_equals_builtin_clamp():

@@ -461,9 +461,10 @@ def _ids(lane_lists):
 
 
 def test_lane_index_equals_reference_every_tick():
-    """Every index `_lane_lists()` builds, and the post-step index that
-    `World.step` hands to `_leader`/`_follower`, whether it reused the
-    pre-step one or rebuilt it, equals one built from scratch."""
+    """Every index `_lane_lists()` builds equals one built from scratch, and
+    so does the post-step index, whether `World.step` reused the pre-step
+    one or rebuilt it: the one it hands to `_leader`/`_follower` and scans
+    for overlaps."""
     seen = dict(changes=0, aborts=0, off_right=0, off_left=0, overlaps=0, edits=0,
                 added_in_policy=0, reused=0, rebuilt=0)
     for seed in range(3):
@@ -471,8 +472,8 @@ def test_lane_index_equals_reference_every_tick():
         world = make_world(seed=seed)
         road = world.cfg.road
         index, leader, follower = world._lane_lists, world._leader, world._follower
-        built = []  # the indexes `_lane_lists()` built this tick
-        post = {}  # the post-step index and the vehicles it must hold
+        built = []  # the indexes `_lane_lists()` built this tick; the last is the post-step one
+        post = {}  # the vehicles the post-step index must hold
 
         def checked_index():
             lane_lists = index()
@@ -482,12 +483,13 @@ def test_lane_index_equals_reference_every_tick():
             seen["off_left"] += any(v.d >= road.lanes * road.lane_width
                                     for v in world.vehicles)
             built.append(lane_lists)
+            post.setdefault("vehicles", list(world.vehicles))
             return lane_lists
 
         def post_step(lookup):
             def checked(lane_lists, *args):
-                if "vehicles" in post:  # called after the policy: the post-step index
-                    assert post.setdefault("lists", lane_lists) is lane_lists
+                if "policy" in post:  # called after the policy: the post-step index
+                    assert lane_lists is built[-1]
                 return lookup(lane_lists, *args)
             return checked
 
@@ -500,6 +502,7 @@ def test_lane_index_equals_reference_every_tick():
                              station=rng.uniform(20.0, 900.0))
                 seen["added_in_policy"] += 1
             post["vehicles"] = list(world.vehicles)
+            post["policy"] = True
             return rng.normal(0.0, 0.3, size=len(states))
 
         for tick in range(2000):
@@ -513,15 +516,43 @@ def test_lane_index_equals_reference_every_tick():
             built.clear()
             post.clear()
             res = world.step(policy, DT)
-            if "lists" in post:
-                # d and station stay as integrated for the rest of the tick
-                assert _ids(post["lists"]) == _ids(_ref_lane_lists(world, post["vehicles"]))
-                assert post["lists"] is built[-1]
-                seen["reused" if len(built) == 1 else "rebuilt"] += 1
+            # d and station stay as integrated for the rest of the tick
+            ref = _ref_lane_lists(world, post["vehicles"])
+            assert _ids(built[-1]) == _ids(ref)
+            gaps = [(front.station - rear.station - front.length, rear.id, front.id)
+                    for lst in ref for rear, front in zip(lst, lst[1:])]
+            assert repr(res.min_gap) == repr(min((g for g, _, _ in gaps), default=math.inf))
+            assert [f for f in res.faults if "overlap" in f] == [
+                f"step {tick}: overlap between {r} and {f} (gap {g:.3f})"
+                for g, r, f in gaps if g <= 0]
+            seen["reused" if len(built) == 1 else "rebuilt"] += 1
             seen["changes"] += sum(v.maneuver == "changing" for v in world.vehicles)
             seen["aborts"] += sum(ep.outcome == "aborted" for ep in res.episodes)
             seen["overlaps"] += res.min_gap <= 0
     assert all(seen.values()), seen
+
+
+def test_post_step_index_sees_a_vehicle_swapped_in_the_policy():
+    """A policy that removes one vehicle and adds another leaves as many
+    vehicles as the pre-step index holds; the monitor's target-lane leader
+    is still the vehicle now on the road, not the one removed (which would
+    put the leader 23.5 m ahead at 15 m/s instead of 53.5 m at 7 m/s)."""
+    world = make_world(no_spawns=True)
+    changer = make_vehicle(world, lane=1, target=2, maneuver="changing")
+    removed = make_vehicle(world, lane=2, station=230.0)
+    seen = []
+
+    def swap(states):
+        world.vehicles.remove(removed)
+        make_vehicle(world, lane=2, station=260.0, v=7.0)
+        world._leader = lambda lane_lists, lane, station: seen.append(
+            (lane, leader(lane_lists, lane, station))) or seen[-1][1]
+        return [0.0 for _ in states]
+
+    leader = world._leader
+    world.step(swap, DT)
+    want = leader(_ref_lane_lists(world), 2, changer.station)
+    assert seen == [(2, want)] and want[1] == 7.0 and len(world.vehicles) == 2
 
 
 def test_post_step_index_orders_a_tie_as_a_rebuild_does():
