@@ -104,7 +104,7 @@ class TrainConfig:
 def td_targets(next_states, rewards, nonterminal, target_params, gamma):
     """r + gamma * V(s') under the frozen target value net; zero V at terminals."""
     v_next, _ = net_forward(target_params.v_net, next_states)
-    return rewards + gamma * nonterminal * v_next[:, 0]
+    return rewards + gamma * nonterminal * v_next[0, :, 0]
 
 
 def train_step(params: NafParams, target_params: NafParams, batch,
@@ -191,6 +191,14 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     before a fault.
     """
     train_cfg.validate()
+    # glibc hands the top of its heap back to the system whenever a free
+    # leaves more than its trim threshold there, and that threshold is twice
+    # the largest block yet freed from its own mapping.  A gradient step
+    # frees about 0.7 MB, so until a larger free (in a default run, the
+    # first checkpoint's text) the heap could shrink and regrow every step,
+    # faulting its pages in again, depending on where the step's blocks
+    # land.  Freeing one 4 MiB block now gives every step the later regime.
+    np.empty(1 << 19)
     rngs = make_rngs(train_cfg.seed)
     params = NafParams.init(rngs["init"], **(naf_constants or {}))
     target_params = params.copy()

@@ -49,8 +49,8 @@ class NafParams:
 
     All five nets share `layer_dims`, and their parameters are one flat
     vector `flat`, net after net in NET_NAMES order; each net attribute is
-    a Network of views into it.  Gradients and optimizer moments use the
-    same layout.
+    a stack of one of views into it, and `stack` gives adjacent nets as one
+    stack.  Gradients and optimizer moments use the same layout.
     """
 
     layer_dims: list[int]
@@ -65,6 +65,7 @@ class NafParams:
     m_net: Network = field(init=False, repr=False)
     v_net: Network = field(init=False, repr=False)
     _spans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _stacks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     NET_NAMES = ("amax_net", "beta_net", "ttrans_net", "m_net", "v_net")
     MU_NET_NAMES = ("amax_net", "beta_net", "ttrans_net")
@@ -77,8 +78,8 @@ class NafParams:
             raise ContractError(
                 f"flat parameters {self.flat.shape} do not fit five nets of "
                 f"layer_dims {self.layer_dims}")
-        for k, name in enumerate(self.NET_NAMES):
-            setattr(self, name, Network(self.layer_dims, self.flat[k * n:(k + 1) * n]))
+        for name in self.NET_NAMES:
+            setattr(self, name, self.stack(name))
 
     def nets(self):
         return {name: getattr(self, name) for name in self.NET_NAMES}
@@ -95,6 +96,15 @@ class NafParams:
             self._spans[names] = slice(first * n, (first + len(names)) * n)
         return self._spans[names]
 
+    def stack(self, *names) -> Network:
+        """The named nets, adjacent in NET_NAMES order, as one stack of views
+        into `flat`; memoised like `span`, and built afresh for every copy,
+        whose dict of stacks starts empty."""
+        if names not in self._stacks:
+            self._stacks[names] = Network(self.layer_dims, self.flat[self.span(*names)],
+                                          len(names))
+        return self._stacks[names]
+
     def copy(self) -> "NafParams":
         return replace(self, layer_dims=list(self.layer_dims), flat=self.flat.copy())
 
@@ -107,8 +117,8 @@ class NafParams:
         return params
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _softplus(x, out=None):
+    return np.logaddexp(0.0, x, out=out)
 
 
 def _sigmoid(x):
@@ -119,25 +129,33 @@ def _sigmoid(x):
                      for v in x.tolist()])
 
 
+# How Heads evaluates the nets: each entry is a tuple of adjacent nets run
+# as one stack.  The fit runs every net alone, so each net has its own cache
+# and the backward pass runs through only the nets a stage steps; the policy
+# runs the greedy head's three nets in one pass.
+EACH_NET = tuple((name,) for name in NafParams.NET_NAMES)
+HEAD_STACK = (NafParams.MU_NET_NAMES,)
+
+
 class Heads:
-    """Evaluation of the networks named in `nets` (all five by default) over
-    the rows of `states`, a list of states or an (n, 6) array, with
-    everything the gradient chain needs: raw outputs, caches, and the
-    transformed values of the nets evaluated, one entry per row.  The
-    greedy action `mu`, the head values `a_max`, `beta`, `t_trns`, `a_tmp`
-    and the deviation features exist when the three head nets are among
-    `nets`, the curvature `m` when `m_net` is, the value `v` when `v_net`
-    is.  A single state is a one-row batch.
+    """Evaluation of the nets in `stacks` (all five, each alone, by
+    default) over the rows of `states`, a list of states or an (n, 6) array,
+    with everything the gradient chain needs: raw outputs per net, the
+    forward cache per stack, and the transformed values of the nets
+    evaluated, one entry per row.  The greedy action `mu`, the head values
+    `a_max`, `beta`, `t_trns`, `a_tmp` and the deviation features exist
+    when the three head nets are evaluated, the curvature `m` when `m_net`
+    is, the value `v` when `v_net` is.  A single state is a one-row batch.
     """
 
-    def __init__(self, params: NafParams, states, nets=NafParams.NET_NAMES):
+    def __init__(self, params: NafParams, states, stacks=EACH_NET):
         S = np.asarray(states, dtype=float)
         self.o = {}
         self.caches = {}
-        for name in nets:
-            y, cache = net_forward(getattr(params, name), S)
-            self.o[name] = y[:, 0]
-            self.caches[name] = cache
+        for names in stacks:
+            y, cache = net_forward(params.stack(*names), S)
+            self.o.update(zip(names, y[:, :, 0]))
+            self.caches[names] = cache
 
         if all(name in self.o for name in NafParams.MU_NET_NAMES):
             self._greedy_head(params, S)
@@ -150,16 +168,17 @@ class Heads:
         # the two sigmoids are kept for the gradient chain in _q_backward
         self.sig_amax = _sigmoid(self.o["amax_net"])
         self.sig_ttrans = _sigmoid(self.o["ttrans_net"])
-        self.a_max = params.a_cap * self.sig_amax
-        self.beta = _softplus(self.o["beta_net"])
-        self.t_trns = params.t_min + (params.t_max - params.t_min) * self.sig_ttrans
-        for name, vals in (
-            ("amax_net", self.a_max),
-            ("beta_net", self.beta),
-            ("ttrans_net", self.t_trns),
-        ):
-            if not np.isfinite(vals).all():
-                raise NumericalError(f"non-finite head value from {name}")
+        # the head values are the rows of one array, in MU_NET_NAMES order,
+        # so that one check covers all three
+        head = np.empty((3, len(S)))
+        self.a_max = np.multiply(params.a_cap, self.sig_amax, out=head[0])
+        self.beta = _softplus(self.o["beta_net"], out=head[1])
+        self.t_trns = np.multiply(params.t_max - params.t_min, self.sig_ttrans, out=head[2])
+        self.t_trns += params.t_min
+        finite = np.isfinite(head)
+        if not finite.all():
+            name = NafParams.MU_NET_NAMES[int(np.argmin(finite.all(axis=1)))]
+            raise NumericalError(f"non-finite head value from {name}")
 
         self.dd = S[:, 2]
         self.dphi = S[:, 3]
@@ -183,9 +202,10 @@ def q_values_batch(states, actions: np.ndarray, params: NafParams):
 
 
 def greedy_actions_batch(states, params: NafParams) -> np.ndarray:
-    """mu(s) for every row of `states` (n, 6), from the three head nets; the
-    exact argmax of Q over actions, because the curvature is negative."""
-    return Heads(params, states, NafParams.MU_NET_NAMES).mu
+    """mu(s) for every row of `states` (n, 6), from the three head nets in
+    one stacked pass; the exact argmax of Q over actions, because the
+    curvature is negative."""
+    return Heads(params, states, HEAD_STACK).mu
 
 
 def greedy_policy(params: NafParams):
@@ -228,8 +248,8 @@ def _q_backward(h: Heads, params: NafParams, actions: np.ndarray, coeffs, nets):
 
     grad = np.zeros(params.flat.shape)
     for name in nets:
-        up = (coeffs * upstream[name])[:, None]
-        g = net_backward(getattr(params, name), h.caches[name], up,
+        up = (coeffs * upstream[name])[None, :, None]
+        g = net_backward(getattr(params, name), h.caches[(name,)], up,
                          grad[params.span(name)])
         if not np.isfinite(g.sum()):
             raise NumericalError(f"non-finite gradient through {name}")

@@ -9,6 +9,9 @@ be tight.
 A network's parameters are one flat vector, layer by layer: W_0 (row-major,
 (fan_out, fan_in)), b_0, W_1, b_1, ...  Gradients use the same layout, so
 an optimizer step or a finite-difference sweep is one pass over a vector.
+A stack of k nets of the same shape holds their vectors one after another
+and runs them in one pass, with numpy's stacked matmul over views of that
+vector, so nothing is copied.
 """
 
 from __future__ import annotations
@@ -29,31 +32,45 @@ def param_count(layer_dims) -> int:
                for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
 
 
+def _layer_views(flat, layer_dims, count):
+    """Per-layer weight (count, fan_out, fan_in) and bias (count, fan_out)
+    views of `flat`, which holds `count` nets of `layer_dims` one after
+    another in the parameter layout."""
+    rows = flat.reshape(count, -1)
+    weights, biases = [], []
+    i = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        j = i + fan_out * fan_in
+        weights.append(rows[:, i:j].reshape(count, fan_out, fan_in))
+        biases.append(rows[:, j:j + fan_out])
+        i = j + fan_out
+    return weights, biases
+
+
 @dataclass
 class Network:
-    """Weights and biases as per-layer views of the flat vector `flat`;
-    writing through a view writes the vector."""
+    """A stack of `count` nets of the same `layer_dims`, their parameters
+    one after another in the flat vector `flat`; a lone net is a stack of
+    one.  Weights and biases are per-layer views of `flat` stacked over the
+    nets, so writing through a view writes the vector."""
 
     layer_dims: list[int]
     flat: np.ndarray
-    weights: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out, fan_in)
-    biases: list[np.ndarray] = field(init=False, repr=False)   # each (fan_out,)
-    # per layer: (weight slice, bias slice) of the flat layout
-    layout: list[tuple[slice, slice]] = field(init=False, repr=False)
+    count: int = 1
+    weights: list[np.ndarray] = field(init=False, repr=False)  # each (count, fan_out, fan_in)
+    biases: list[np.ndarray] = field(init=False, repr=False)   # each (count, fan_out)
+    # per layer, the views net_forward applies: the weights transposed,
+    # (count, fan_in, fan_out), and the biases as (count, 1, fan_out)
+    affine: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.layer_dims
-        if self.flat.shape != (param_count(dims),) or not self.flat.flags.c_contiguous:
-            raise ContractError(
-                f"flat parameters {self.flat.shape} do not fit layer_dims {dims}")
-        self.weights, self.biases, self.layout = [], [], []
-        i = 0
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            j = i + fan_out * fan_in
-            self.layout.append((slice(i, j), slice(j, j + fan_out)))
-            self.weights.append(self.flat[i:j].reshape(fan_out, fan_in))
-            self.biases.append(self.flat[j:j + fan_out])
-            i = j + fan_out
+        if (self.flat.shape != (self.count * param_count(dims),)
+                or not self.flat.flags.c_contiguous):
+            raise ContractError(f"flat parameters {self.flat.shape} do not fit "
+                                f"{self.count} nets of layer_dims {dims}")
+        self.weights, self.biases = _layer_views(self.flat, dims, self.count)
+        self.affine = [(w.mT, b[:, None]) for w, b in zip(self.weights, self.biases)]
 
 
 @dataclass
@@ -87,42 +104,46 @@ def net_init(layer_dims, seed, flat=None) -> Network:
 
 
 def net_forward(net: Network, x):
-    """Forward pass over the rows of the batch x (n, d).  Returns (y, cache)
-    with y of shape (n, out).
+    """Forward pass of every net of the stack over the rows of the batch
+    x (n, d).  Returns (y, cache) with y of shape (count, n, out), one
+    (n, out) output per net.
 
     The cache is the list of each affine layer's input, which net_backward
-    consumes: x, then the tanh output of each hidden layer.
+    consumes: x, then the tanh output of each hidden layer, (count, n, width).
+    The batch broadcasts over the stack, so each net's matmul is the one it
+    would make alone.
     """
     h = np.asarray(x, dtype=float)
     if h.ndim != 2 or h.shape[1] != net.layer_dims[0]:
         raise ContractError(
             f"input shape {h.shape} is not a batch of layer_dims {net.layer_dims}"
         )
-    last = len(net.layout) - 1
+    last = len(net.affine) - 1
     inputs = []
-    for k in range(last + 1):
+    for k, (w_t, b) in enumerate(net.affine):
         inputs.append(h)
-        h = h @ net.weights[k].T
-        h += net.biases[k]
+        h = h @ w_t
+        h += b
         if k < last:
             np.tanh(h, out=h)
     return h, inputs
 
 
 def net_backward(net: Network, cache, upstream, out=None):
-    """Exact gradient of sum_i upstream_i . y_i w.r.t. the parameters.
+    """Exact gradient of sum_i upstream_i . y_i w.r.t. the parameters of
+    every net of the stack.
 
-    `upstream` has the forward output's shape (n, out).  Batch items
+    `upstream` has the forward output's shape (count, n, out).  Batch items
     contribute additively; the gradient is written to the flat vector `out`
     (a new one when not given) in the parameter layout, and returned.
     """
     inputs = cache
-    if (len(inputs) != len(net.layout)
-            or any(h.shape[1] != d
+    if (len(inputs) != len(net.weights)
+            or any(h.shape[-1] != d
                    for h, d in zip(inputs, net.layer_dims[:-1]))):
         raise ContractError("cache does not match network")
     delta = np.asarray(upstream, dtype=float)
-    if delta.shape != (inputs[-1].shape[0], net.layer_dims[-1]):
+    if delta.shape != (net.count, inputs[-1].shape[-2], net.layer_dims[-1]):
         raise ContractError(
             f"upstream shape {delta.shape} incompatible with cached batch"
         )
@@ -131,10 +152,10 @@ def net_backward(net: Network, cache, upstream, out=None):
     elif out.shape != net.flat.shape or not out.flags.c_contiguous:
         raise ContractError(
             f"gradient vector {out.shape} does not fit layer_dims {net.layer_dims}")
-    for k in range(len(net.layout) - 1, -1, -1):
-        w, b = net.layout[k]
-        np.matmul(delta.T, inputs[k], out=out[w].reshape(net.weights[k].shape))
-        delta.sum(axis=0, out=out[b])
+    grad_w, grad_b = _layer_views(out, net.layer_dims, net.count)
+    for k in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.mT, inputs[k], out=grad_w[k])
+        delta.sum(axis=1, out=grad_b[k])
         if k > 0:
             delta = (delta @ net.weights[k]) * (1.0 - inputs[k] ** 2)  # tanh'
     return out

@@ -1,6 +1,10 @@
 """Replay memory, TD targets, exploration, loss, freezing schedule, training loop."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -326,7 +330,7 @@ def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
 
 def test_pretrain_step_with_nonfinite_m_net_names_it():
     params, target, batch = _params_and_batch(7)
-    params.m_net.weights[0][0, 0] = math.nan
+    params.m_net.weights[0][0, 0, 0] = math.nan  # one weight of the stack of one
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="m_net"):
         train_step(params, target, batch, PRETRAIN, opt_states_init(params),
                    0.001, 0.95)
@@ -369,6 +373,68 @@ def test_sync_target_bit_exact_and_independent():
         assert q_values_batch([s], [a], params)[0] == q_values_batch([s], [a], target)[0]
     params.v_net.biases[-1][0] += 1.0
     assert target.v_net.biases[-1][0] != params.v_net.biases[-1][0]
+
+
+def test_copy_stacks_read_the_copy():
+    # the online params memoise every stack before the copy is made, so a
+    # memo carried over by the copy would hand the target the online views
+    params, _, batch = _params_and_batch(9)
+    states, _, next_states, rewards, nonterminal = batch
+    online_mu = greedy_actions_batch(states, params)
+    target = params.copy()
+    for names in (*nafq.EACH_NET, *nafq.HEAD_STACK):
+        assert target.stack(*names) is not params.stack(*names)
+        assert np.shares_memory(target.stack(*names).flat, target.flat)
+        assert not np.shares_memory(target.stack(*names).flat, params.flat)
+    target_mu = greedy_actions_batch(states, target)
+    targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
+    train_step(params, target, batch, JOINT, opt_states_init(params), 0.01, 0.95)
+    assert np.array_equal(greedy_actions_batch(states, target), target_mu)
+    assert np.array_equal(td_targets(next_states, rewards, nonterminal, target, 0.95),
+                          targets)
+    assert not np.array_equal(greedy_actions_batch(states, params), online_mu)
+
+
+# Minor page faults per gradient step of a training run at the default
+# nets and batch of 64, in a fresh interpreter, after its first 100 steps.
+# The run takes about 450 steps in each stage.  The argument is the size of
+# a block allocated before anything else, which shifts where the heap's
+# blocks land.
+FAULTS_PER_STEP = """
+import resource
+import sys
+heap_shift = bytearray(int(sys.argv[1]))
+from nafdrive import learner
+from nafdrive.learner import TrainConfig, run_training
+from nafdrive.simworld import WorldConfig
+
+train_step = learner.train_step
+faults = []
+
+def counted(*args):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return train_step(*args)
+
+learner.train_step = counted
+run_training(TrainConfig(total_steps=1200, pretrain_steps=750, checkpoint_schedule=[]),
+             WorldConfig())
+print(len(faults), (faults[-1] - faults[100]) / (len(faults) - 101))
+"""
+
+
+def test_training_steps_do_not_fault_pages():
+    # A step whose blocks glibc maps and unmaps, or whose heap top it trims
+    # and grows again, faults tens to hundreds of pages a step; one that
+    # reuses heap memory faults none.  Which of the two happens can turn on
+    # where the blocks land, so every one of a few heap layouts is checked.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for shift in (0, 9_000, 33_000):
+        proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP, str(shift)], env=env,
+                              capture_output=True, text=True, check=True)
+        steps, per_step = proc.stdout.split()
+        assert int(steps) > 800 and float(per_step) < 2.0, (shift, proc.stdout)
 
 
 # -- schedules and config

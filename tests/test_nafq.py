@@ -30,8 +30,9 @@ def q_gradient(state, a_yaw, params):
 
 
 def heads(state, params, nets=NafParams.MU_NET_NAMES) -> Heads:
-    """The named nets evaluated at one state, a one-row batch."""
-    return Heads(params, [state], nets)
+    """The named nets, adjacent in NET_NAMES order, evaluated as one stack
+    at one state, a one-row batch."""
+    return Heads(params, [state], (nets,))
 
 
 def q_of(state, a_yaw, params) -> float:
@@ -47,9 +48,11 @@ def random_state(rng) -> RlState:
 
 
 def forward_calls(monkeypatch, params):
-    """Record, in call order, the name of each net of `params` that the
-    nafq module global net_forward is called on, as the tracer sees them."""
-    names = {id(net): name for name, net in params.nets().items()}
+    """Record, in call order, the net names of each stack of `params` that
+    the nafq module global net_forward is called on, as the tracer sees
+    them."""
+    names = {id(params.stack(*stack)): stack
+             for stack in (*nafq.EACH_NET, *nafq.HEAD_STACK)}
     seen = []
     forward = nafq.net_forward
 
@@ -152,9 +155,26 @@ def test_mu_odd_in_atmp_with_heads_fixed():
 
 
 def test_nonfinite_head_error_names_network():
-    params = const_params(amax_bias=math.nan)
-    with pytest.raises(NumericalError, match="amax_net"):
-        heads(RlState(20.0, 0.0, 1.0, 0.0, 0.0, 0.0), params)
+    # one check covers the three head values and names the first net, in
+    # MU_NET_NAMES order, whose value is not finite
+    state = RlState(20.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    nan, inf = math.nan, math.inf
+    for biases, name in (
+        (dict(amax_bias=nan), "amax_net"),
+        (dict(beta_bias=nan), "beta_net"),
+        (dict(beta_bias=inf), "beta_net"),  # softplus(inf) is inf
+        (dict(ttrans_bias=nan), "ttrans_net"),
+        (dict(beta_bias=nan, ttrans_bias=nan), "beta_net"),
+        (dict(amax_bias=nan, ttrans_bias=nan), "amax_net"),
+        (dict(amax_bias=nan, beta_bias=inf, ttrans_bias=nan), "amax_net"),
+    ):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match=f"from {name}$"):
+            heads(state, const_params(**biases))
+    # the sigmoids saturate at an infinite raw output, so these head values
+    # are finite and nothing is raised
+    h = heads(state, const_params(amax_bias=inf, beta_bias=-inf, ttrans_bias=-inf))
+    assert (h.a_max[0], h.beta[0], h.t_trns[0]) == (A_CAP, 0.0, T_MIN)
 
 
 def test_policy_evaluates_only_the_head_nets(monkeypatch):
@@ -163,10 +183,13 @@ def test_policy_evaluates_only_the_head_nets(monkeypatch):
     states = [random_state(rng) for _ in range(3)]
     seen = forward_calls(monkeypatch, params)
     greedy_actions_batch(states, params)
-    assert seen == list(NafParams.MU_NET_NAMES)
+    assert seen == [NafParams.MU_NET_NAMES]  # one pass over the head stack
     seen.clear()
     heads(states[0], params, ("m_net",))
-    assert seen == ["m_net"]
+    assert seen == [("m_net",)]
+    seen.clear()
+    fit_gradients(states, np.zeros(3), np.zeros(3), params)
+    assert seen == [(name,) for name in NafParams.NET_NAMES]  # the fit: each net alone
 
 
 # -- curvature and value heads

@@ -18,20 +18,20 @@ def sum_gradient(net, x):
 
 
 def test_init_shapes_and_zero_biases():
-    net = net_init([2, 3], seed=0)
-    assert len(net.weights) == 1 and net.weights[0].shape == (3, 2)
-    assert len(net.biases) == 1 and net.biases[0].shape == (3,)
+    net = net_init([2, 3], seed=0)  # a lone net is a stack of one
+    assert len(net.weights) == 1 and net.weights[0].shape == (1, 3, 2)
+    assert len(net.biases) == 1 and net.biases[0].shape == (1, 3)
     assert np.all(net.biases[0] == 0.0)
 
 
 def test_views_share_the_flat_vector():
     # layout W_0 (row-major), b_0, W_1, b_1
     net = Network([2, 3, 1], np.arange(13.0))
-    assert net.weights[0].tolist() == [[0, 1], [2, 3], [4, 5]]
-    assert net.biases[0].tolist() == [6, 7, 8]
-    assert net.weights[1].tolist() == [[9, 10, 11]]
-    assert net.biases[1].tolist() == [12]
-    net.biases[1][0] = -1.0
+    assert net.weights[0].tolist() == [[[0, 1], [2, 3], [4, 5]]]
+    assert net.biases[0].tolist() == [[6, 7, 8]]
+    assert net.weights[1].tolist() == [[[9, 10, 11]]]
+    assert net.biases[1].tolist() == [[12]]
+    net.biases[1][0, 0] = -1.0
     assert net.flat[12] == -1.0
     with pytest.raises(ContractError):
         Network([2, 3, 1], np.zeros(12))
@@ -88,9 +88,10 @@ def test_forward_batch_matches_single():
     net = net_init([3, 8, 2], seed=1)
     X = np.random.default_rng(0).normal(size=(5, 3))
     Y, _ = net_forward(net, X)
+    assert Y.shape == (1, 5, 2)
     for i in range(5):
         y, _ = net_forward(net, X[i:i + 1])
-        assert np.allclose(Y[i], y[0], atol=0.0)
+        assert np.allclose(Y[0, i], y[0, 0], atol=0.0)
 
 
 def test_forward_dim_mismatch():
@@ -109,14 +110,14 @@ def test_forward_cache_is_each_layer_input_once():
     assert np.array_equal(cache[0], x)
     for k in range(len(net.weights) - 1):  # cache[k + 1] is layer k's tanh output
         assert np.array_equal(cache[k + 1],
-                              np.tanh(cache[k] @ net.weights[k].T + net.biases[k]))
+                              np.tanh(cache[k] @ net.weights[k].mT + net.biases[k][:, None]))
 
 
 def test_backward_linear_layer_derivatives():
     # y = w*x + b: dw = x, db = 1
     net = Network([1, 1], np.array([1.7, 0.0]))
     _, cache = net_forward(net, np.array([[0.3]]))
-    grad = net_backward(net, cache, np.ones((1, 1)))
+    grad = net_backward(net, cache, np.ones((1, 1, 1)))
     assert grad[0] == pytest.approx(0.3)
     assert grad[1] == pytest.approx(1.0)
 
@@ -126,7 +127,7 @@ def test_backward_tanh_at_zero_passes_upstream():
     # hidden bias b_0 gets the output weight w_1 as its gradient
     net = Network([1, 1, 1], np.array([2.0, 0.0, 3.0, 0.0]))  # w_0, b_0, w_1, b_1
     _, cache = net_forward(net, np.zeros((1, 1)))
-    grad = net_backward(net, cache, np.ones((1, 1)))
+    grad = net_backward(net, cache, np.ones((1, 1, 1)))
     assert grad[1] == pytest.approx(3.0)
 
 
@@ -134,11 +135,11 @@ def test_backward_batch_accumulates():
     net = net_init([3, 4, 1], seed=2)
     X = np.random.default_rng(1).normal(size=(6, 3))
     _, cache = net_forward(net, X)
-    g_all = net_backward(net, cache, np.ones((6, 1)))
+    g_all = net_backward(net, cache, np.ones((1, 6, 1)))
     acc = np.zeros(net.flat.size)
     for i in range(6):
         _, c = net_forward(net, X[i:i + 1])
-        acc += net_backward(net, c, np.ones((1, 1)))
+        acc += net_backward(net, c, np.ones((1, 1, 1)))
     assert np.allclose(g_all, acc, atol=1e-12)
 
 
@@ -146,12 +147,13 @@ def test_backward_writes_into_out():
     net = net_init([3, 4, 1], seed=2)
     _, cache = net_forward(net, np.ones((1, 3)))
     out = np.full(net.flat.size, np.nan)
-    grad = net_backward(net, cache, np.ones((1, 1)), out)
+    grad = net_backward(net, cache, np.ones((1, 1, 1)), out)
     assert grad is out and np.all(np.isfinite(out))
     with pytest.raises(ContractError):
-        net_backward(net, cache, np.ones((1, 1)), np.empty(net.flat.size + 1))
-    with pytest.raises(ContractError):  # upstream must be (n, out)
-        net_backward(net, cache, np.ones(1), out)
+        net_backward(net, cache, np.ones((1, 1, 1)), np.empty(net.flat.size + 1))
+    for upstream in (np.ones(1), np.ones((1, 1))):  # upstream must be (count, n, out)
+        with pytest.raises(ContractError):
+            net_backward(net, cache, upstream, out)
 
 
 def test_backward_stale_cache_rejected():
@@ -160,6 +162,72 @@ def test_backward_stale_cache_rejected():
     _, cache = net_forward(net2, np.ones((1, 2)))
     with pytest.raises(ContractError):
         net_backward(net3, cache, np.ones((1, 1)))
+
+
+def lone_net_reference(weights, biases, x, upstream):
+    """One net's output (n, out) and parameter gradient in plain 2-D numpy,
+    from its (fan_out, fan_in) weights and (fan_out,) biases: the bits a
+    stack must give for each of its nets."""
+    inputs, h = [], x
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = h @ w.T
+        h += b
+        if k < len(weights) - 1:
+            np.tanh(h, out=h)
+    grads, delta = [], upstream
+    for k in range(len(weights) - 1, -1, -1):
+        grads[:0] = [(delta.T @ inputs[k]).ravel(), delta.sum(axis=0)]
+        if k > 0:
+            delta = (delta @ weights[k]) * (1.0 - inputs[k] ** 2)
+    return h, np.concatenate(grads)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_stack_equals_each_net_alone_bit_for_bit(count):
+    # OpenBLAS takes different kernels at 1, 2, small and large row counts,
+    # and a numpy fallback from BLAS sums in another order; either would
+    # show in the last bits somewhere in this range
+    dims = [6, 64, 64, 1]
+    size = param_count(dims)
+    rng = np.random.default_rng(count)
+    flat = rng.normal(scale=0.3, size=count * size)
+    stack = Network(dims, flat, count)
+    for view in stack.weights + stack.biases:
+        assert view.base is not None and np.shares_memory(view, flat)
+    for n in (1, 2, 3, 18, 19, 64, 256):
+        x = rng.normal(size=(n, 6))
+        upstream = rng.normal(size=(count, n, 1))
+        y, cache = net_forward(stack, x)
+        grad = net_backward(stack, cache, upstream)
+        assert y.shape == (count, n, 1)
+        for i in range(count):
+            want_y, want_grad = lone_net_reference(
+                [w[i] for w in stack.weights], [b[i] for b in stack.biases], x, upstream[i])
+            alone = Network(dims, flat[i * size:(i + 1) * size])
+            alone_y, alone_cache = net_forward(alone, x)
+            assert same_bits(y[i], want_y) and same_bits(alone_y[0], want_y), (n, i)
+            assert same_bits(grad[i * size:(i + 1) * size], want_grad), (n, i)
+            assert same_bits(net_backward(alone, alone_cache, upstream[i:i + 1]), want_grad)
+
+
+def test_stack_reads_the_flat_vector_it_was_built_on():
+    dims = [6, 8, 1]
+    size = param_count(dims)
+    flat = np.random.default_rng(0).normal(size=3 * size)
+    stack = Network(dims, flat, 3)
+    x = np.ones((2, 6))
+    before, _ = net_forward(stack, x)
+    flat[2 * size - 1] += 1.0  # the output bias of the middle net
+    after, _ = net_forward(stack, x)
+    assert np.allclose(after[1], before[1] + 1.0, rtol=0.0, atol=1e-12)
+    assert np.array_equal(after[[0, 2]], before[[0, 2]])
+    with pytest.raises(ContractError):
+        Network(dims, flat[:-1], 3)
 
 
 def test_finite_diff_zero_net():
