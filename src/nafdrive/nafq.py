@@ -89,8 +89,8 @@ class NafParams:
         in NET_NAMES order; memoised, since the training loop asks for the
         same few spans every step."""
         if names not in self._spans:
-            first = self.NET_NAMES.index(names[0])
-            if self.NET_NAMES[first:first + len(names)] != names:
+            first = self.NET_NAMES.index(names[0]) if names else 0
+            if not names or self.NET_NAMES[first:first + len(names)] != names:
                 raise ContractError(f"nets {names} are not adjacent in {self.NET_NAMES}")
             n = param_count(self.layer_dims)
             self._spans[names] = slice(first * n, (first + len(names)) * n)
@@ -130,15 +130,15 @@ def _sigmoid(x):
 
 
 # How Heads evaluates the nets: each entry is a tuple of adjacent nets run
-# as one stack.  The fit runs every net alone, so each net has its own cache
-# and the backward pass runs through only the nets a stage steps; the policy
-# runs the greedy head's three nets in one pass.
-EACH_NET = tuple((name,) for name in NafParams.NET_NAMES)
+# as one stack.  The fit runs all five in one pass, and its backward pass
+# runs through the rows of that stack the stage steps; the policy runs the
+# greedy head's three nets in one pass.
+ALL_NETS = (NafParams.NET_NAMES,)
 HEAD_STACK = (NafParams.MU_NET_NAMES,)
 
 
 class Heads:
-    """Evaluation of the nets in `stacks` (all five, each alone, by
+    """Evaluation of the nets in `stacks` (all five, as one stack, by
     default) over the rows of `states`, a list of states or an (n, 6) array,
     with everything the gradient chain needs: raw outputs per net, the
     forward cache per stack, and the transformed values of the nets
@@ -148,7 +148,7 @@ class Heads:
     is, the value `v` when `v_net` is.  A single state is a one-row batch.
     """
 
-    def __init__(self, params: NafParams, states, stacks=EACH_NET):
+    def __init__(self, params: NafParams, states, stacks=ALL_NETS):
         S = np.asarray(states, dtype=float)
         self.o = {}
         self.caches = {}
@@ -246,13 +246,20 @@ def _q_backward(h: Heads, params: NafParams, actions: np.ndarray, coeffs, nets):
                                   * sig3
                                   * (1.0 - sig3))
 
+    # one pass back through the stack of the nets in `nets`, over their rows
+    # of the five-net forward cache; the batch, layer 0's input, is shared
+    net = params.stack(*nets)
+    first = NafParams.NET_NAMES.index(nets[0])
+    up = np.empty((len(nets), len(diff), 1))
+    for row, name in zip(up, nets):
+        np.multiply(coeffs, upstream[name], out=row[:, 0])
+    x, *hidden = h.caches[NafParams.NET_NAMES]
+    cache = [x] + [layer[first:first + len(nets)] for layer in hidden]
     grad = np.zeros(params.flat.shape)
-    for name in nets:
-        up = (coeffs * upstream[name])[None, :, None]
-        g = net_backward(getattr(params, name), h.caches[(name,)], up,
-                         grad[params.span(name)])
-        if not np.isfinite(g.sum()):
-            raise NumericalError(f"non-finite gradient through {name}")
+    g = net_backward(net, cache, up, grad[params.span(*nets)])
+    finite = np.isfinite(g.reshape(len(nets), -1).sum(axis=1))
+    if not finite.all():
+        raise NumericalError(f"non-finite gradient through {nets[int(np.argmin(finite))]}")
     return grad
 
 
@@ -273,10 +280,10 @@ def fit_gradients(states, actions, targets, params: NafParams,
     """Loss and gradient of the mean squared TD error in one pass.
 
     loss = (1/N) sum_i (Q_i - target_i)^2 with the targets held constant.
-    All five networks are evaluated once, since Q needs them all; the
-    backward sweep runs only through the networks in `nets`.  The gradient
-    is laid out like `params.flat`, with zeros in the spans of the other
-    nets.
+    All five networks are evaluated in one stacked pass, since Q needs them
+    all; one backward pass runs through the stack of the networks in `nets`,
+    which must be adjacent in NET_NAMES order.  The gradient is laid out
+    like `params.flat`, with zeros in the spans of the other nets.
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
     q, h = q_values_batch(states, a, params)

@@ -157,7 +157,9 @@ def net_backward(net: Network, cache, upstream, out=None):
         np.matmul(delta.mT, inputs[k], out=grad_w[k])
         delta.sum(axis=1, out=grad_b[k])
         if k > 0:
-            delta = (delta @ net.weights[k]) * (1.0 - inputs[k] ** 2)  # tanh'
+            d = np.square(inputs[k])  # tanh' = 1 - h^2, in one buffer
+            np.subtract(1.0, d, out=d)
+            delta = np.multiply(d, delta @ net.weights[k], out=d)
     return out
 
 

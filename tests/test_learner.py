@@ -311,7 +311,7 @@ def test_head_adam_step_count_starts_at_joint_stage():
 
 def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
     params, target, batch = _params_and_batch(6)
-    names = {id(net): name for name, net in params.nets().items()}
+    names = {id(params.stack(*nets)): nets for nets in (("m_net", "v_net"), NafParams.NET_NAMES)}
     seen = []
     backward = nafq.net_backward
 
@@ -322,10 +322,10 @@ def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
     monkeypatch.setattr(nafq, "net_backward", counted)
     opt = opt_states_init(params)
     train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
-    assert seen == ["m_net", "v_net"]
+    assert seen == [("m_net", "v_net")]
     seen.clear()
     train_step(params, target, batch, JOINT, opt, 0.001, 0.95)
-    assert seen == list(NafParams.NET_NAMES)
+    assert seen == [NafParams.NET_NAMES]
 
 
 def test_pretrain_step_with_nonfinite_m_net_names_it():
@@ -381,8 +381,11 @@ def test_copy_stacks_read_the_copy():
     params, _, batch = _params_and_batch(9)
     states, _, next_states, rewards, nonterminal = batch
     online_mu = greedy_actions_batch(states, params)
+    stacks = [(name,) for name in NafParams.NET_NAMES] + [*nafq.HEAD_STACK, *nafq.ALL_NETS]
+    for names in stacks:
+        params.stack(*names)
     target = params.copy()
-    for names in (*nafq.EACH_NET, *nafq.HEAD_STACK):
+    for names in stacks:
         assert target.stack(*names) is not params.stack(*names)
         assert np.shares_memory(target.stack(*names).flat, target.flat)
         assert not np.shares_memory(target.stack(*names).flat, params.flat)

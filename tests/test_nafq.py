@@ -11,7 +11,7 @@ from nafdrive.errors import ContractError
 from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, Heads, NafParams, RlState,
                            fit_gradients, greedy_actions_batch, q_gradients_batch,
                            q_values_batch)
-from nafdrive.netcore import finite_diff_check
+from nafdrive.netcore import finite_diff_check, net_backward
 
 
 def const_params(amax_bias=0.0, beta_bias=0.0, ttrans_bias=0.0,
@@ -51,8 +51,8 @@ def forward_calls(monkeypatch, params):
     """Record, in call order, the net names of each stack of `params` that
     the nafq module global net_forward is called on, as the tracer sees
     them."""
-    names = {id(params.stack(*stack)): stack
-             for stack in (*nafq.EACH_NET, *nafq.HEAD_STACK)}
+    stacks = [(name,) for name in NafParams.NET_NAMES] + [*nafq.HEAD_STACK, *nafq.ALL_NETS]
+    names = {id(params.stack(*stack)): stack for stack in stacks}
     seen = []
     forward = nafq.net_forward
 
@@ -189,7 +189,7 @@ def test_policy_evaluates_only_the_head_nets(monkeypatch):
     assert seen == [("m_net",)]
     seen.clear()
     fit_gradients(states, np.zeros(3), np.zeros(3), params)
-    assert seen == [(name,) for name in NafParams.NET_NAMES]  # the fit: each net alone
+    assert seen == [NafParams.NET_NAMES]  # the fit: one pass over all five
 
 
 # -- curvature and value heads
@@ -324,6 +324,87 @@ def test_fit_is_the_q_gradient_weighted_by_the_td_error(nets):
     assert loss == float(np.mean((q - targets) ** 2))
     assert np.array_equal(grad[span], q_grad[span])
     assert not grad[:span.start].any() and not grad[span.stop:].any()
+
+
+def reference_fit(states, actions, targets, params, nets):
+    """fit_gradients as one net_forward and one net_backward call per net:
+    each net evaluated alone, the upstream of each net chained by hand from
+    the heads, and each stepped net backpropagated on its own cache."""
+    h = Heads(params, states, [(name,) for name in NafParams.NET_NAMES])
+    diff = h.mu - actions
+    errors = h.m * diff * diff + h.v - targets
+    coeffs = (2.0 / len(actions)) * errors
+    dq_dmu = 2.0 * h.m * diff
+    sech2 = 1.0 - h.tanh_arg**2
+    datmp_dt = -2.0 * h.dd / h.t_trns**3 - h.dv * h.dphi / h.t_trns**2
+    upstream = {
+        "amax_net": dq_dmu * h.tanh_arg * params.a_cap * h.sig_amax * (1.0 - h.sig_amax),
+        "beta_net": dq_dmu * (h.a_max * sech2 * h.a_tmp) * nafq._sigmoid(h.o["beta_net"]),
+        "ttrans_net": (dq_dmu * (h.a_max * sech2 * h.beta) * datmp_dt
+                       * (params.t_max - params.t_min) * h.sig_ttrans * (1.0 - h.sig_ttrans)),
+        "m_net": -(diff * diff) * nafq._sigmoid(h.o["m_net"]),
+        "v_net": 1.0,
+    }
+    grad = np.zeros(params.flat.shape)
+    for name in nets:
+        up = (coeffs * upstream[name])[None, :, None]
+        net_backward(params.stack(name), h.caches[(name,)], up, grad[params.span(name)])
+    return float(np.mean(errors**2)), grad
+
+
+@pytest.mark.parametrize("nets", [NafParams.NET_NAMES, ("m_net", "v_net")])
+def test_fit_equals_the_per_net_fit_bit_for_bit(nets):
+    # OpenBLAS picks its kernel by row count, so the sizes span its paths
+    rng = np.random.default_rng(15)
+    params = NafParams.init(rng)
+    for n in (1, 2, 3, 18, 19, 64, 256):
+        states = np.column_stack([rng.uniform(0, 35, n), rng.normal(size=n),
+                                  rng.normal(0, 2, n), rng.normal(0, 0.1, n),
+                                  rng.normal(0, 0.1, n), rng.normal(0, 0.001, n)])
+        actions, targets = rng.uniform(-0.5, 0.5, n), rng.normal(size=n)
+        loss, grad = fit_gradients(states, actions, targets, params, nets)
+        want_loss, want_grad = reference_fit(states, actions, targets, params, nets)
+        assert repr(loss) == repr(want_loss), n
+        assert grad.tobytes() == want_grad.tobytes(), n
+        assert grad[params.span(*nets)].any(), n
+
+
+@pytest.mark.parametrize("bad", range(5))
+def test_nonfinite_gradient_names_only_its_net(monkeypatch, bad):
+    # inf in one net's rows of the cached activations makes that net's
+    # gradient, and no other net's, non-finite; a stage that does not step
+    # the net is unaffected
+    rng = np.random.default_rng(16)
+    params = NafParams.init(rng, hidden=(8, 8))
+    states = np.array([random_state(rng) for _ in range(4)])
+    actions, targets = rng.uniform(-0.5, 0.5, 4), rng.normal(size=4)
+    forward = nafq.net_forward
+
+    def poisoned(net, x):
+        y, cache = forward(net, x)
+        if net.count == len(NafParams.NET_NAMES):
+            cache[1][bad] = math.inf
+        return y, cache
+
+    monkeypatch.setattr(nafq, "net_forward", poisoned)
+    name = NafParams.NET_NAMES[bad]
+    for nets in (NafParams.NET_NAMES, ("m_net", "v_net")):
+        with np.errstate(invalid="ignore", over="ignore"):
+            if name in nets:
+                with pytest.raises(NumericalError, match=f"through {name}$"):
+                    fit_gradients(states, actions, targets, params, nets)
+            else:
+                _, grad = fit_gradients(states, actions, targets, params, nets)
+                assert np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("nets", [("amax_net", "m_net"), ("v_net", "m_net"), ()])
+def test_fit_refuses_nets_that_are_not_adjacent(nets):
+    rng = np.random.default_rng(17)
+    params = NafParams.init(rng, hidden=(8,))
+    states = np.array([random_state(rng) for _ in range(3)])
+    with pytest.raises(ContractError, match="not adjacent"):
+        fit_gradients(states, np.zeros(3), np.zeros(3), params, nets)
 
 
 @pytest.mark.parametrize("actions", [np.zeros((3, 1)), np.zeros((1, 3)), np.zeros(2),

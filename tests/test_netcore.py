@@ -213,6 +213,15 @@ def test_stack_equals_each_net_alone_bit_for_bit(count):
             assert same_bits(y[i], want_y) and same_bits(alone_y[0], want_y), (n, i)
             assert same_bits(grad[i * size:(i + 1) * size], want_grad), (n, i)
             assert same_bits(net_backward(alone, alone_cache, upstream[i:i + 1]), want_grad)
+        # a sub-stack backpropagates over its rows of the whole stack's
+        # cache, as views, and gives its nets' slices of the whole gradient
+        for i in range(count):
+            for j in range(i + 1, count + 1):
+                sub = Network(dims, flat[i * size:j * size], j - i)
+                rows = [cache[0]] + [layer[i:j] for layer in cache[1:]]
+                assert all(np.shares_memory(r, c) for r, c in zip(rows, cache))
+                assert same_bits(net_backward(sub, rows, upstream[i:j]),
+                                 grad[i * size:j * size]), (n, i, j)
 
 
 def test_stack_reads_the_flat_vector_it_was_built_on():
