@@ -370,8 +370,8 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
             rows.append([k, k * dt, tr.a_yaw, tr.s_next.omega,
                          tr.s_next.theta, d, tr.s_next.delta_d_lat,
                          tr.r, tr.r_acce, tr.r_rate, tr.r_dev])
-        # transition.terminal covers completion only; capped/exited
-        # episodes close through the episode record, so watch for that
+        # whether a close is terminal depends on its outcome (simworld.CLOSES),
+        # so watch the episode records, which every close produces
         if traced is not None and any(ep.vehicle_id == traced.id
                                       for ep in result.episodes):
             return rows

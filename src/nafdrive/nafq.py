@@ -129,6 +129,25 @@ def _sigmoid(x):
                      for v in x.tolist()])
 
 
+def head_law(a_max, beta, t_trns, S):
+    """The greedy head's law over the state rows S, (n, 6), at head values
+    a_max, beta and T = t_trns: a_tmp = dd/T^2 + dv*dphi/T, and
+    mu = a_max*tanh(beta*a_tmp).  Returns a_tmp, tanh(beta*a_tmp) and mu."""
+    dd, dphi, dv = S[:, 2], S[:, 3], S[:, 0] * np.sin(S[:, 3])
+    a_tmp = dd / t_trns**2 + dv * dphi / t_trns
+    tanh_arg = np.tanh(beta * a_tmp)
+    return a_tmp, tanh_arg, a_max * tanh_arg
+
+
+def head_law_partials(a_max, beta, t_trns, S, a_tmp, tanh_arg):
+    """head_law's dmu/da_max, dmu/dbeta, and dmu/dT as its two factors
+    dmu/da_tmp and da_tmp/dT, given its a_tmp and tanh(beta*a_tmp)."""
+    dd, dphi, dv = S[:, 2], S[:, 3], S[:, 0] * np.sin(S[:, 3])
+    sech2 = 1.0 - tanh_arg**2
+    return (tanh_arg, a_max * sech2 * a_tmp, a_max * sech2 * beta,
+            -2.0 * dd / t_trns**3 - dv * dphi / t_trns**2)
+
+
 # How Heads evaluates the nets: each entry is a tuple of adjacent nets run
 # as one stack.  The fit runs all five in one pass, and its backward pass
 # runs through the rows of that stack the stage steps; the policy runs the
@@ -142,14 +161,15 @@ class Heads:
     default) over the rows of `states`, a list of states or an (n, 6) array,
     with everything the gradient chain needs: raw outputs per net, the
     forward cache per stack, and the transformed values of the nets
-    evaluated, one entry per row.  The greedy action `mu`, the head values
-    `a_max`, `beta`, `t_trns`, `a_tmp` and the deviation features exist
-    when the three head nets are evaluated, the curvature `m` when `m_net`
-    is, the value `v` when `v_net` is.  A single state is a one-row batch.
+    evaluated, one entry per row, and the (n, 6) states `S`.  The greedy
+    action `mu`, the head values `a_max`, `beta`, `t_trns`, and head_law's
+    `a_tmp` and `tanh_arg` exist when the three head nets are evaluated, the
+    curvature `m` when `m_net` is, the value `v` when `v_net` is.  A single
+    state is a one-row batch.
     """
 
     def __init__(self, params: NafParams, states, stacks=ALL_NETS):
-        S = np.asarray(states, dtype=float)
+        self.S = S = np.asarray(states, dtype=float)
         self.o = {}
         self.caches = {}
         for names in stacks:
@@ -180,12 +200,7 @@ class Heads:
             name = NafParams.MU_NET_NAMES[int(np.argmin(finite.all(axis=1)))]
             raise NumericalError(f"non-finite head value from {name}")
 
-        self.dd = S[:, 2]
-        self.dphi = S[:, 3]
-        self.dv = S[:, 0] * np.sin(S[:, 3])
-        self.a_tmp = self.dd / self.t_trns**2 + self.dv * self.dphi / self.t_trns
-        self.tanh_arg = np.tanh(self.beta * self.a_tmp)
-        self.mu = self.a_max * self.tanh_arg
+        self.a_tmp, self.tanh_arg, self.mu = head_law(self.a_max, self.beta, self.t_trns, S)
         if not np.isfinite(self.mu).all():
             raise NumericalError("non-finite greedy action")
 
@@ -222,29 +237,23 @@ def _q_backward(h: Heads, params: NafParams, actions: np.ndarray, coeffs, nets):
     """Gradient of sum_i coeffs_i * Q(s_i, a_i) through the networks in
     `nets`, laid out like `params.flat`; the spans of the other nets are
     zero.  Each net's upstream is coeffs times the per-item dQ/d(raw net
-    output), chained through the quadratic form, the head transforms, tanh,
-    and the transition-time dependency of a_tmp
-    (d a_tmp / d T = -2*dd/T^3 - dv*dphi/T^2)."""
+    output), chained through the quadratic form, head_law's partials and
+    the head transforms."""
     diff = h.mu - actions
     upstream = {"m_net": -(diff * diff) * _sigmoid(h.o["m_net"]), "v_net": 1.0}
     if not set(nets).isdisjoint(NafParams.MU_NET_NAMES):
         dq_dmu = 2.0 * h.m * diff
-        sech2 = 1.0 - h.tanh_arg**2
-        dmu_damax = h.tanh_arg
-        dmu_dbeta = h.a_max * sech2 * h.a_tmp
-        dmu_datmp = h.a_max * sech2 * h.beta
-        datmp_dt = -2.0 * h.dd / h.t_trns**3 - h.dv * h.dphi / h.t_trns**2
-
-        sig1 = h.sig_amax
-        sig3 = h.sig_ttrans
-        upstream["amax_net"] = dq_dmu * dmu_damax * params.a_cap * sig1 * (1.0 - sig1)
+        dmu_damax, dmu_dbeta, dmu_datmp, datmp_dt = head_law_partials(
+            h.a_max, h.beta, h.t_trns, h.S, h.a_tmp, h.tanh_arg)
+        upstream["amax_net"] = (dq_dmu * dmu_damax * params.a_cap
+                                * h.sig_amax * (1.0 - h.sig_amax))
         upstream["beta_net"] = dq_dmu * dmu_dbeta * _sigmoid(h.o["beta_net"])
         upstream["ttrans_net"] = (dq_dmu
                                   * dmu_datmp
                                   * datmp_dt
                                   * (params.t_max - params.t_min)
-                                  * sig3
-                                  * (1.0 - sig3))
+                                  * h.sig_ttrans
+                                  * (1.0 - h.sig_ttrans))
 
     # one pass back through the stack of the nets in `nets`, over their rows
     # of the five-net forward cache; the batch, layer 0's input, is shared

@@ -135,7 +135,7 @@ class StepTransition:
     r_acce: float
     r_rate: float
     r_dev: float
-    terminal: bool
+    terminal: bool  # no future return, so the learner does not bootstrap; see CLOSES
 
 
 @dataclass
@@ -214,6 +214,15 @@ def completion_check(road: RoadSpec, ego: VehicleState) -> bool:
         and abs(ego.omega) <= DONE_OMEGA
     )
 
+
+# How each outcome closes an episode: (terminal, retired).  A retired car
+# leaves the road at once, an exited one with the end-of-tick filter.
+CLOSES = {
+    "completed": (True, False),
+    "aborted": (True, False),
+    "capped": (False, True),
+    "exited": (False, False),
+}
 
 _STATION = attrgetter("station")
 
@@ -407,10 +416,7 @@ class World:
         policy can evaluate them in one batch.  All accelerations are
         computed from the pre-step snapshot, then all vehicles are
         integrated, then monitors/completions/rewards run on the post-step
-        state, so the result is independent of vehicle order.  Keepers move
-        in a straight line; in a tick with no maneuvering vehicle the
-        pre-step lane index serves after integration while every lane keeps
-        its order.
+        state, so the result is independent of vehicle order.
         """
         cfg = self.cfg
         faults: list[str] = []
@@ -482,34 +488,29 @@ class World:
 
             ep = veh.episode
             steps = self.step_count + 1 - ep.start_step  # ticks in the episode
-            done = completion_check(cfg.road, veh)
-            capped = not done and steps >= cfg.episode_cap_steps
-            exited = not done and veh.station > cfg.road.length
-            closed = done or capped or exited
+            if completion_check(cfg.road, veh):
+                outcome = "aborted" if veh.maneuver == "aborting" else "completed"
+            elif steps >= cfg.episode_cap_steps:
+                outcome = "capped"
+            elif veh.station > cfg.road.length:
+                outcome = "exited"  # left the test track mid-maneuver
+            else:
+                outcome = None
+            terminal, retired = CLOSES[outcome] if outcome else (False, False)
 
             s_next = build_rl_state(cfg.road, veh)
             r, r_acce, r_rate, r_dev = immediate_reward(a_yaw, s_next, cfg.rewards)
             accumulate_metrics(ep, r_acce, r_rate, r_dev)
-            # The replay terminal flag means "no future return", which is
-            # only true of genuine completion; the step cap and the road
-            # exit are truncations, so the learner bootstraps through them.
             transitions.append(StepTransition(veh.id, s, a_yaw, s_next,
-                                              r, r_acce, r_rate, r_dev, done))
-            if closed:
+                                              r, r_acce, r_rate, r_dev, terminal))
+            if outcome:
                 ep.end_step = self.step_count + 1
                 ep.duration = steps * dt
-                if capped:
-                    ep.outcome = "capped"
-                elif exited:
-                    ep.outcome = "exited"  # left the test track mid-maneuver
-                elif veh.maneuver == "aborting":
-                    ep.outcome = "aborted"
-                else:
-                    ep.outcome = "completed"
+                ep.outcome = outcome
                 episodes.append(ep)
                 veh.episode = None
-                if capped:
-                    self.vehicles.remove(veh)  # retired from the road
+                if retired:
+                    self.vehicles.remove(veh)
                 else:
                     veh.maneuver = "keeping"
                     veh.lane = veh.target_lane

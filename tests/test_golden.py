@@ -1,7 +1,8 @@
 """Golden outputs: a short seed-0 `nafdrive train`, an `eval` and a `trace` of
 its final checkpoint, the seed-0 gradient audit, a world driven through every
-episode outcome, a dense-traffic world of lane keepers, and the benchmark's
-train config at seeds 0-2 must reproduce pinned bytes.
+episode outcome (on a straight and on a curved road), a dense-traffic world of
+lane keepers, and the benchmark's train config at seeds 0-2 must reproduce
+pinned bytes.
 
 A refactor or optimisation that keeps the numbers keeps these digests.  A
 change that alters outputs on purpose updates them and says so in
@@ -21,7 +22,7 @@ import pytest
 
 from nafdrive.cli import checkgrad_suite, default_config_dict, main, parse_config
 from nafdrive.learner import make_rngs
-from nafdrive.simworld import TrafficConfig, World, WorldConfig
+from nafdrive.simworld import RoadSpec, TrafficConfig, World, WorldConfig
 
 # sha256 prefixes of the outputs
 GOLDEN = {
@@ -40,6 +41,11 @@ CHECKGRAD_SEED0 = {"net": 3.33268076921267e-09, "q_value": 1.6243408730407188e-0
 # outcomes of the episodes it closes
 LIFECYCLE = "ec46f9eed0376821"
 LIFECYCLE_OUTCOMES = {"capped": 12, "exited": 5, "completed": 2, "aborted": 1}
+
+# the same for the lifecycle world on a road that curves both ways
+CURVED_ROAD = [(0.0, 0.0), (200.0, 0.002), (450.0, -0.0015), (700.0, 0.0005)]
+CURVED_LIFECYCLE = "e3c1d9e3621a0e07"
+CURVED_LIFECYCLE_OUTCOMES = {"capped": 15, "exited": 5}
 
 # sha256 prefixes of the dense-traffic world (about 55 lane keepers) after
 # 3000 ticks, per seed, and of its fault log
@@ -120,18 +126,25 @@ def damped_policy(states):
     return actions
 
 
-def test_lifecycle_matches_golden_digest():
-    """Dense traffic, a short step cap and a steering policy close episodes
-    with all four outcomes; a capped vehicle leaves the road in the tick
-    that caps it."""
-    cfg = WorldConfig(traffic=TrafficConfig(depart_min=2.0, depart_max=4.0),
+def lifecycle_ticks(curvature_profile):
+    """The lifecycle world: dense traffic, a short step cap and a steering
+    policy close episodes with all four outcomes.  Yields the world and its
+    StepResult after each of 3000 ticks."""
+    cfg = WorldConfig(road=RoadSpec(curvature_profile=curvature_profile),
+                      traffic=TrafficConfig(depart_min=2.0, depart_max=4.0),
                       episode_cap_steps=80)
     rngs = make_rngs(0)
     world = World(cfg, rngs["spawn"], rngs["trigger"])
+    for _ in range(3000):
+        yield world, world.step(damped_policy, 0.1)
+
+
+def lifecycle_digest(curvature_profile):
+    """The sha256 prefix of the lifecycle run's ticks and final vehicles,
+    and the outcomes of the episodes it closes."""
     h = hashlib.sha256()
     outcomes = Counter()
-    for _ in range(3000):
-        res = world.step(damped_policy, 0.1)
+    for world, res in lifecycle_ticks(curvature_profile):
         h.update(repr((
             [(t.vehicle_id, tuple(t.s), t.a_yaw, tuple(t.s_next), t.r,
               t.r_acce, t.r_rate, t.r_dev, t.terminal) for t in res.transitions],
@@ -139,14 +152,34 @@ def test_lifecycle_matches_golden_digest():
             res.min_gap, res.faults,
         )).encode())
         outcomes.update(ep.outcome for ep in res.episodes)
-        present = {veh.id for veh in world.vehicles}
-        assert not [ep.vehicle_id for ep in res.episodes
-                    if ep.outcome == "capped" and ep.vehicle_id in present]
     h.update(repr([(v.id, v.station, v.d, v.v, v.a_lng, v.theta, v.omega, v.lane,
                     v.target_lane, v.maneuver) for v in world.vehicles]).encode())
     assert world.fault_log == []
-    assert dict(outcomes) == LIFECYCLE_OUTCOMES
-    assert h.hexdigest()[:16] == LIFECYCLE
+    return h.hexdigest()[:16], dict(outcomes)
+
+
+def test_lifecycle_matches_golden_digest():
+    assert lifecycle_digest([]) == (LIFECYCLE, LIFECYCLE_OUTCOMES)
+
+
+def test_curved_lifecycle_matches_golden_digest():
+    assert lifecycle_digest(CURVED_ROAD) == (CURVED_LIFECYCLE, CURVED_LIFECYCLE_OUTCOMES)
+
+
+def test_lifecycle_closes_follow_the_close_table():
+    """A completed or aborted close is terminal, a capped or exited one is
+    not, and a capped vehicle leaves the road in the tick that caps it."""
+    closes = Counter()
+    for world, res in lifecycle_ticks([]):
+        last = {t.vehicle_id: t for t in res.transitions}
+        present = {veh.id for veh in world.vehicles}
+        for ep in res.episodes:
+            closes[ep.outcome, last[ep.vehicle_id].terminal] += 1
+            assert ep.outcome != "capped" or ep.vehicle_id not in present
+        closed = {ep.vehicle_id for ep in res.episodes}
+        assert all(t.vehicle_id in closed for t in res.transitions if t.terminal)
+    assert closes == {("completed", True): 2, ("aborted", True): 1,
+                      ("capped", False): 12, ("exited", False): 5}
 
 
 @pytest.mark.parametrize("seed", sorted(DENSE_TRAFFIC))

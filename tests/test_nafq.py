@@ -84,9 +84,10 @@ def test_sigmoid_equals_scipy_expit_bit_for_bit():
 
 
 def features(state: RlState):
-    """The deviation triple (dd, dv, dphi) that feeds mu."""
-    h = heads(state, NafParams.init(0, hidden=(8,)))
-    return h.dd[0], h.dv[0], h.dphi[0]
+    """The deviation triple (dd, dv, dphi) that feeds mu, from the state row
+    Heads holds."""
+    s = heads(state, NafParams.init(0, hidden=(8,))).S[0]
+    return s[2], s[0] * np.sin(s[3]), s[3]
 
 
 def test_features_zero_theta_gives_zero_lateral_velocity():
@@ -152,6 +153,39 @@ def test_mu_odd_in_atmp_with_heads_fixed():
         h, hm = heads(s, params), heads(mirrored, params)
         assert hm.a_tmp[0] == pytest.approx(-h.a_tmp[0], abs=1e-12)
         assert hm.mu[0] == pytest.approx(-h.mu[0], abs=1e-12)
+
+
+# well-conditioned points of the law: (a_max, beta, T, state), at which no
+# partial is near zero
+LAW_POINTS = [
+    (0.5, 1.0, 2.0, RlState(20.0, 0.0, 1.875, 0.05, 0.0, 0.0)),
+    (0.3, 2.5, 1.2, RlState(12.0, 0.3, -0.8, 0.02, 0.1, 0.001)),
+    (0.55, 0.7, 4.0, RlState(30.0, -0.5, 2.5, -0.04, -0.05, 0.0)),
+]
+
+
+@pytest.mark.parametrize("a_max, beta, t_trns, state", LAW_POINTS)
+def test_head_law_partials_match_central_differences(a_max, beta, t_trns, state):
+    S = np.array([state])
+    a_tmp, tanh_arg, _ = nafq.head_law(a_max, beta, t_trns, S)
+    dmu_damax, dmu_dbeta, dmu_datmp, datmp_dt = (
+        float(p[0]) for p in nafq.head_law_partials(a_max, beta, t_trns, S, a_tmp, tanh_arg))
+
+    def law(a, b, t):
+        return [float(out[0]) for out in nafq.head_law(a, b, t, S)]
+
+    def central(f, x, h=1e-6):
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+
+    pairs = [  # (analytic, central difference)
+        (dmu_damax, central(lambda a: law(a, beta, t_trns)[2], a_max)),
+        (dmu_dbeta, central(lambda b: law(a_max, b, t_trns)[2], beta)),
+        (datmp_dt, central(lambda t: law(a_max, beta, t)[0], t_trns)),
+        (dmu_datmp * datmp_dt, central(lambda t: law(a_max, beta, t)[2], t_trns)),
+    ]
+    for analytic, numeric in pairs:
+        assert abs(analytic) > 1e-3
+        assert abs(numeric - analytic) <= 1e-7 * abs(analytic)
 
 
 def test_nonfinite_head_error_names_network():
@@ -336,7 +370,9 @@ def reference_fit(states, actions, targets, params, nets):
     coeffs = (2.0 / len(actions)) * errors
     dq_dmu = 2.0 * h.m * diff
     sech2 = 1.0 - h.tanh_arg**2
-    datmp_dt = -2.0 * h.dd / h.t_trns**3 - h.dv * h.dphi / h.t_trns**2
+    dd, dphi = h.S[:, 2], h.S[:, 3]
+    dv = h.S[:, 0] * np.sin(dphi)
+    datmp_dt = -2.0 * dd / h.t_trns**3 - dv * dphi / h.t_trns**2
     upstream = {
         "amax_net": dq_dmu * h.tanh_arg * params.a_cap * h.sig_amax * (1.0 - h.sig_amax),
         "beta_net": dq_dmu * (h.a_max * sech2 * h.a_tmp) * nafq._sigmoid(h.o["beta_net"]),
