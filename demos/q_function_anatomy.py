@@ -10,7 +10,7 @@ Run:  python3 demos/q_function_anatomy.py
 
 import numpy as np
 
-from nafdrive.nafq import HEAD_STACK, Heads, NafParams, RlState, q_values_batch
+from nafdrive.nafq import Heads, NafParams, RlState, q_values_batch
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     for dd in (-3.75, -1.875, -0.5, 0.0, 0.5, 1.875, 3.75):
         s = RlState(v=20.0, a_lng=0.0, delta_d_lat=dd, theta=0.0, omega=0.0,
                     c=0.0)
-        h = Heads(params, [s], HEAD_STACK)
+        h = Heads(params, [s], NafParams.HEAD)
         print(f"  {dd:8.3f} {h.a_max[0]:8.4f} {h.beta[0]:8.4f} "
               f"{h.t_trns[0]:8.4f} {h.a_tmp[0]:9.5f} {h.mu[0]:13.6f}")
 

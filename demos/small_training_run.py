@@ -11,7 +11,7 @@ Run:  python3 demos/small_training_run.py        (about a minute)
 import numpy as np
 
 from nafdrive.learner import TrainConfig, make_rngs, run_training
-from nafdrive.nafq import HEAD_STACK, Heads, NafParams, RlState
+from nafdrive.nafq import Heads, NafParams, RlState
 from nafdrive.simworld import WorldConfig
 
 
@@ -44,7 +44,7 @@ def main():
                 c=0.0)
     print("\ngreedy head at a representative state (half-lane deviation):")
     for label, params in (("initial", initial), ("trained", result.params)):
-        h = Heads(params, [s], HEAD_STACK)
+        h = Heads(params, [s], NafParams.HEAD)
         print(f"  {label}: a_max {h.a_max[0]:.4f}  mu {h.mu[0]:+.5f}")
 
 

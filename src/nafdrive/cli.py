@@ -119,6 +119,12 @@ def _section(data: dict, section: str) -> dict:
     return dict(values)
 
 
+def _check_seed(seed: int):
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, not {seed}")
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -126,6 +132,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigurationError("missing config section: seed")
     if not _fits(data["seed"], int):
         raise ConfigurationError(f"config section seed must be int, not {data['seed']!r}")
+    _check_seed(data["seed"])
     for key in data:
         if key != "seed" and key not in SECTIONS:
             raise ConfigurationError(f"unknown config section: {key}")
@@ -329,6 +336,9 @@ def run_eval_episodes(params: NafParams, world_cfg: WorldConfig, dt: float,
 def cmd_eval(checkpoint_path: str, config_path: str, episodes: int, seed: int,
              out_path: str, force: bool = False) -> int:
     try:
+        _check_seed(seed)
+        if episodes < 1:
+            raise ConfigurationError(f"episodes must be positive, not {episodes}")
         cfg, params = _load_policy(checkpoint_path, config_path, force)
         eps = run_eval_episodes(params, cfg.world, cfg.train.dt, episodes, seed)
     except _RUN_ERRORS as exc:
@@ -381,6 +391,7 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
 def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
               force: bool = False) -> int:
     try:
+        _check_seed(seed)
         cfg, params = _load_policy(checkpoint_path, config_path, force)
         rows = run_trace(params, cfg.world, cfg.train.dt, seed)
     except _RUN_ERRORS as exc:
@@ -415,7 +426,7 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     a_yaw = float(rng.uniform(-0.5, 0.5))
     grad, _ = q_gradients_batch([state], [a_yaw], [1.0], params)
     if inject_fault:
-        grad[params.span("m_net").start] *= 1.10  # first weight of m_net
+        grad[params.span(NafParams.Q).start] *= 1.10  # first weight of m_net
     q_err = finite_diff_check(
         lambda: q_values_batch([state], [a_yaw], params)[0][0], params.flat, grad, h)
 

@@ -23,11 +23,22 @@ from .simworld import EpisodeMetrics, World, WorldConfig
 PRETRAIN = "pretrain"
 JOINT = "joint"
 
-# Parameter slices stepped by Adam, each with its own step count: the
-# curvature and value nets train in both stages, the greedy head only in
-# the joint stage.
-ADAM_SLICES = {"head": NafParams.MU_NET_NAMES, "q": ("m_net", "v_net")}
+# Adam's slices, the two blocks of the parameter layout, each with its own
+# step count, and the block each stage steps: the curvature and value nets
+# train in both stages, the greedy head only in the joint stage.
+ADAM_SLICES = {"head": NafParams.HEAD, "q": NafParams.Q}
 STAGE_SLICES = {PRETRAIN: ("q",), JOINT: ("head", "q")}
+STAGE_BLOCKS = {PRETRAIN: NafParams.Q, JOINT: NafParams.ALL}
+
+# glibc hands the top of its heap back to the system whenever a free leaves
+# more than its trim threshold there, and that threshold is twice the
+# largest block yet freed from its own mapping.  A gradient step frees about
+# 0.7 MB, so until a larger free (in a default run, the first checkpoint's
+# text) the heap could shrink and regrow every step, faulting its pages in
+# again, depending on where the step's blocks land.  Freeing one 4 MiB block
+# on import gives every gradient loop, run_training's or a caller's own,
+# the later regime.
+np.empty(1 << 19)
 
 
 class ReplayBuffer:
@@ -121,14 +132,13 @@ def train_step(params: NafParams, target_params: NafParams, batch,
     targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
 
     # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta,
-    # backpropagated only through the nets this stage steps
-    nets = [name for key in STAGE_SLICES[stage] for name in ADAM_SLICES[key]]
-    loss, grad = fit_gradients(states, actions, targets, params, nets)
+    # backpropagated only through the block this stage steps
+    loss, grad = fit_gradients(states, actions, targets, params, STAGE_BLOCKS[stage])
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss; step aborted")
 
     for key in STAGE_SLICES[stage]:
-        span = params.span(*ADAM_SLICES[key])
+        span = params.span(ADAM_SLICES[key])
         opt_states.t[key] = adaptive_update(params.flat[span], grad[span],
                                             opt_states.m[span], opt_states.v[span],
                                             opt_states.t[key], lr)
@@ -191,14 +201,6 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     before a fault.
     """
     train_cfg.validate()
-    # glibc hands the top of its heap back to the system whenever a free
-    # leaves more than its trim threshold there, and that threshold is twice
-    # the largest block yet freed from its own mapping.  A gradient step
-    # frees about 0.7 MB, so until a larger free (in a default run, the
-    # first checkpoint's text) the heap could shrink and regrow every step,
-    # faulting its pages in again, depending on where the step's blocks
-    # land.  Freeing one 4 MiB block now gives every step the later regime.
-    np.empty(1 << 19)
     rngs = make_rngs(train_cfg.seed)
     params = NafParams.init(rngs["init"], **(naf_constants or {}))
     target_params = params.copy()

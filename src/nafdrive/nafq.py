@@ -48,9 +48,12 @@ class NafParams:
     """The five networks behind Q plus the transform constants.
 
     All five nets share `layer_dims`, and their parameters are one flat
-    vector `flat`, net after net in NET_NAMES order; each net attribute is
-    a stack of one of views into it, and `stack` gives adjacent nets as one
-    stack.  Gradients and optimizer moments use the same layout.
+    vector `flat`, net after net in NET_NAMES order, in two blocks: the
+    greedy head's three nets (HEAD) and the curvature and value nets (Q).
+    A block is the range of its rows in the five-net stack.  Each net
+    attribute is a stack of one of views into it, and `stacks` holds each
+    block and all five nets (ALL) as one stack.  Gradients and optimizer
+    moments use the same layout.
     """
 
     layer_dims: list[int]
@@ -64,11 +67,13 @@ class NafParams:
     ttrans_net: Network = field(init=False, repr=False)
     m_net: Network = field(init=False, repr=False)
     v_net: Network = field(init=False, repr=False)
-    _spans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _stacks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    stacks: dict[range, Network] = field(init=False, repr=False, compare=False)
 
     NET_NAMES = ("amax_net", "beta_net", "ttrans_net", "m_net", "v_net")
     MU_NET_NAMES = ("amax_net", "beta_net", "ttrans_net")
+    HEAD = range(0, 3)
+    Q = range(3, 5)
+    ALL = range(0, 5)
 
     def __post_init__(self):
         n = param_count(self.layer_dims)
@@ -78,32 +83,20 @@ class NafParams:
             raise ContractError(
                 f"flat parameters {self.flat.shape} do not fit five nets of "
                 f"layer_dims {self.layer_dims}")
-        for name in self.NET_NAMES:
-            setattr(self, name, self.stack(name))
+        for i, name in enumerate(self.NET_NAMES):
+            setattr(self, name, Network(self.layer_dims, self.flat[i * n:(i + 1) * n]))
+        # built here, so a copy's stacks are views of the copy's vector
+        self.stacks = {block: Network(self.layer_dims, self.flat[self.span(block)],
+                                      len(block))
+                       for block in (self.HEAD, self.Q, self.ALL)}
 
     def nets(self):
         return {name: getattr(self, name) for name in self.NET_NAMES}
 
-    def span(self, *names) -> slice:
-        """The slice of `flat` holding the named nets, which must be adjacent
-        in NET_NAMES order; memoised, since the training loop asks for the
-        same few spans every step."""
-        if names not in self._spans:
-            first = self.NET_NAMES.index(names[0]) if names else 0
-            if not names or self.NET_NAMES[first:first + len(names)] != names:
-                raise ContractError(f"nets {names} are not adjacent in {self.NET_NAMES}")
-            n = param_count(self.layer_dims)
-            self._spans[names] = slice(first * n, (first + len(names)) * n)
-        return self._spans[names]
-
-    def stack(self, *names) -> Network:
-        """The named nets, adjacent in NET_NAMES order, as one stack of views
-        into `flat`; memoised like `span`, and built afresh for every copy,
-        whose dict of stacks starts empty."""
-        if names not in self._stacks:
-            self._stacks[names] = Network(self.layer_dims, self.flat[self.span(*names)],
-                                          len(names))
-        return self._stacks[names]
+    def span(self, block: range) -> slice:
+        """The slice of `flat` holding the nets of `block`."""
+        n = self.flat.size // len(self.NET_NAMES)
+        return slice(block.start * n, block.stop * n)
 
     def copy(self) -> "NafParams":
         return replace(self, layer_dims=list(self.layer_dims), flat=self.flat.copy())
@@ -148,40 +141,24 @@ def head_law_partials(a_max, beta, t_trns, S, a_tmp, tanh_arg):
             -2.0 * dd / t_trns**3 - dv * dphi / t_trns**2)
 
 
-# How Heads evaluates the nets: each entry is a tuple of adjacent nets run
-# as one stack.  The fit runs all five in one pass, and its backward pass
-# runs through the rows of that stack the stage steps; the policy runs the
-# greedy head's three nets in one pass.
-ALL_NETS = (NafParams.NET_NAMES,)
-HEAD_STACK = (NafParams.MU_NET_NAMES,)
-
-
 class Heads:
-    """Evaluation of the nets in `stacks` (all five, as one stack, by
-    default) over the rows of `states`, a list of states or an (n, 6) array,
-    with everything the gradient chain needs: raw outputs per net, the
-    forward cache per stack, and the transformed values of the nets
-    evaluated, one entry per row, and the (n, 6) states `S`.  The greedy
-    action `mu`, the head values `a_max`, `beta`, `t_trns`, and head_law's
-    `a_tmp` and `tanh_arg` exist when the three head nets are evaluated, the
-    curvature `m` when `m_net` is, the value `v` when `v_net` is.  A single
-    state is a one-row batch.
+    """Evaluation of the nets of `block`, all five by default or the greedy
+    head's three, over the rows of `states`, a list of states or an (n, 6)
+    array, with everything the gradient chain needs: the raw output of each
+    net, the forward cache of the block's stack, the (n, 6) states `S`, and
+    the transformed values, one entry per row.  The greedy action `mu`, the
+    head values `a_max`, `beta`, `t_trns`, and head_law's `a_tmp` and
+    `tanh_arg` always exist; the curvature `m` and the value `v` when all
+    five nets are evaluated.  A single state is a one-row batch.
     """
 
-    def __init__(self, params: NafParams, states, stacks=ALL_NETS):
+    def __init__(self, params: NafParams, states, block=NafParams.ALL):
         self.S = S = np.asarray(states, dtype=float)
-        self.o = {}
-        self.caches = {}
-        for names in stacks:
-            y, cache = net_forward(params.stack(*names), S)
-            self.o.update(zip(names, y[:, :, 0]))
-            self.caches[names] = cache
-
-        if all(name in self.o for name in NafParams.MU_NET_NAMES):
-            self._greedy_head(params, S)
-        if "m_net" in self.o:
+        y, self.cache = net_forward(params.stacks[block], S)
+        self.o = dict(zip(NafParams.NET_NAMES[block.start:block.stop], y[:, :, 0]))
+        self._greedy_head(params, S)
+        if block == NafParams.ALL:
             self.m = -_softplus(self.o["m_net"]) - params.m_eps
-        if "v_net" in self.o:
             self.v = self.o["v_net"]
 
     def _greedy_head(self, params: NafParams, S):
@@ -220,7 +197,7 @@ def greedy_actions_batch(states, params: NafParams) -> np.ndarray:
     """mu(s) for every row of `states` (n, 6), from the three head nets in
     one stacked pass; the exact argmax of Q over actions, because the
     curvature is negative."""
-    return Heads(params, states, HEAD_STACK).mu
+    return Heads(params, states, NafParams.HEAD).mu
 
 
 def greedy_policy(params: NafParams):
@@ -233,42 +210,43 @@ def greedy_policy(params: NafParams):
     return policy
 
 
-def _q_backward(h: Heads, params: NafParams, actions: np.ndarray, coeffs, nets):
-    """Gradient of sum_i coeffs_i * Q(s_i, a_i) through the networks in
-    `nets`, laid out like `params.flat`; the spans of the other nets are
-    zero.  Each net's upstream is coeffs times the per-item dQ/d(raw net
-    output), chained through the quadratic form, head_law's partials and
-    the head transforms."""
+def _q_backward(h: Heads, params: NafParams, actions: np.ndarray, coeffs, block):
+    """Gradient of sum_i coeffs_i * Q(s_i, a_i) through the nets of `block`,
+    laid out like `params.flat`, with zeros outside the block.  Each net's
+    upstream is coeffs times the per-item dQ/d(raw net output), chained
+    through the quadratic form, head_law's partials and the head transforms."""
     diff = h.mu - actions
-    upstream = {"m_net": -(diff * diff) * _sigmoid(h.o["m_net"]), "v_net": 1.0}
-    if not set(nets).isdisjoint(NafParams.MU_NET_NAMES):
+    # dQ/d(raw output) of each net of the block, in NET_NAMES order: the
+    # head nets' when the block holds them, then m_net's and v_net's
+    dq_dout = [-(diff * diff) * _sigmoid(h.o["m_net"]), 1.0]
+    if block != NafParams.Q:
         dq_dmu = 2.0 * h.m * diff
         dmu_damax, dmu_dbeta, dmu_datmp, datmp_dt = head_law_partials(
             h.a_max, h.beta, h.t_trns, h.S, h.a_tmp, h.tanh_arg)
-        upstream["amax_net"] = (dq_dmu * dmu_damax * params.a_cap
-                                * h.sig_amax * (1.0 - h.sig_amax))
-        upstream["beta_net"] = dq_dmu * dmu_dbeta * _sigmoid(h.o["beta_net"])
-        upstream["ttrans_net"] = (dq_dmu
-                                  * dmu_datmp
-                                  * datmp_dt
-                                  * (params.t_max - params.t_min)
-                                  * h.sig_ttrans
-                                  * (1.0 - h.sig_ttrans))
+        dq_dout[:0] = [(dq_dmu * dmu_damax * params.a_cap
+                        * h.sig_amax * (1.0 - h.sig_amax)),
+                       dq_dmu * dmu_dbeta * _sigmoid(h.o["beta_net"]),
+                       (dq_dmu
+                        * dmu_datmp
+                        * datmp_dt
+                        * (params.t_max - params.t_min)
+                        * h.sig_ttrans
+                        * (1.0 - h.sig_ttrans))]
 
-    # one pass back through the stack of the nets in `nets`, over their rows
-    # of the five-net forward cache; the batch, layer 0's input, is shared
-    net = params.stack(*nets)
-    first = NafParams.NET_NAMES.index(nets[0])
-    up = np.empty((len(nets), len(diff), 1))
-    for row, name in zip(up, nets):
-        np.multiply(coeffs, upstream[name], out=row[:, 0])
-    x, *hidden = h.caches[NafParams.NET_NAMES]
-    cache = [x] + [layer[first:first + len(nets)] for layer in hidden]
+    # one pass back through the block's stack, over its rows of the forward
+    # cache; the batch, layer 0's input, is shared
+    net = params.stacks[block]
+    up = np.empty((net.count, len(diff), 1))
+    for row, dq in zip(up, dq_dout):
+        np.multiply(coeffs, dq, out=row[:, 0])
+    x, *hidden = h.cache
+    cache = [x] + [layer[block.start:block.stop] for layer in hidden]
     grad = np.zeros(params.flat.shape)
-    g = net_backward(net, cache, up, grad[params.span(*nets)])
-    finite = np.isfinite(g.reshape(len(nets), -1).sum(axis=1))
+    g = net_backward(net, cache, up, grad[params.span(block)])
+    finite = np.isfinite(g.reshape(net.count, -1).sum(axis=1))
     if not finite.all():
-        raise NumericalError(f"non-finite gradient through {nets[int(np.argmin(finite))]}")
+        name = NafParams.NET_NAMES[block.start + int(np.argmin(finite))]
+        raise NumericalError(f"non-finite gradient through {name}")
     return grad
 
 
@@ -281,21 +259,20 @@ def q_gradients_batch(states, actions, coeffs, params: NafParams):
     a = np.asarray(actions, dtype=float).reshape(-1)
     q, h = q_values_batch(states, a, params)
     w = np.asarray(coeffs, dtype=float).reshape(-1)
-    return _q_backward(h, params, a, w, NafParams.NET_NAMES), q
+    return _q_backward(h, params, a, w, NafParams.ALL), q
 
 
-def fit_gradients(states, actions, targets, params: NafParams,
-                  nets=NafParams.NET_NAMES):
+def fit_gradients(states, actions, targets, params: NafParams, block=NafParams.ALL):
     """Loss and gradient of the mean squared TD error in one pass.
 
     loss = (1/N) sum_i (Q_i - target_i)^2 with the targets held constant.
     All five networks are evaluated in one stacked pass, since Q needs them
-    all; one backward pass runs through the stack of the networks in `nets`,
-    which must be adjacent in NET_NAMES order.  The gradient is laid out
-    like `params.flat`, with zeros in the spans of the other nets.
+    all; one backward pass runs through the stack of `block`, the Q block
+    or all five.  The gradient is laid out like `params.flat`, with zeros
+    outside the block.
     """
     a = np.asarray(actions, dtype=float).reshape(-1)
     q, h = q_values_batch(states, a, params)
     errors = q - np.asarray(targets, dtype=float).reshape(-1)
     loss = float(np.mean(errors**2))
-    return loss, _q_backward(h, params, a, (2.0 / len(a)) * errors, nets)
+    return loss, _q_backward(h, params, a, (2.0 / len(a)) * errors, block)

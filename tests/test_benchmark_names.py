@@ -1,18 +1,24 @@
-"""The program names the benchmark's tracer wraps still exist.
+"""The program names the benchmark uses still exist.
 
 `perfbench/tracing.py` replaces the attributes in its `TARGETS` with timing
-wrappers, and `perfbench/test_perfbench.py` replaces `World._longitudinal`
-with a function of the same arguments.  Those tests are not in this suite,
-so a rename would otherwise surface only when the benchmark runs.
+wrappers, `perfbench/test_perfbench.py` replaces `World._longitudinal`
+with a function of the same arguments, and `perfbench/setup_probe.py`
+initialises, copies and checkpoints a `NafParams`.  Those tests are not in
+this suite, so a rename would otherwise surface only when the benchmark runs.
 """
 
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from nafdrive.simworld import World
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_target_resolves():
@@ -27,3 +33,11 @@ def test_every_traced_target_resolves():
 def test_longitudinal_takes_the_arguments_the_benchmark_passes():
     params = list(inspect.signature(World._longitudinal).parameters)
     assert params == ["self", "lane_lists", "veh", "faults"]
+
+
+def test_setup_probe_runs(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(tmp_path), "0"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0

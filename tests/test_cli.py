@@ -249,6 +249,26 @@ def test_unknown_key_rejected(section, trained_run, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config_seed", [
+    (["eval", "--episodes", "0"], 0),
+    (["eval", "--episodes", "-3"], 0),
+    (["eval", "--seed", "-1"], 0),
+    (["trace", "--seed", "-1"], 0),
+    (["train", "--seed", "-1"], 0),
+    (["train"], -1),
+])
+def test_negative_seed_and_nonpositive_episodes_rejected(argv, config_seed, trained_run,
+                                                         tmp_path, capsys):
+    cfg_path = write_config(tmp_path, desk_config(config_seed))
+    ck = os.path.join(trained_run[1], "checkpoint_00000600.json")
+    out = tmp_path / "out"
+    where = [] if argv[0] == "train" else ["--checkpoint", ck]
+    assert main([*argv, *where, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("seed", None, True),
     ("train", None, 5),

@@ -12,9 +12,10 @@ import pytest
 
 from nafdrive import nafq
 from nafdrive.errors import ConfigurationError, ContractError, NumericalError
-from nafdrive.learner import (JOINT, PRETRAIN, ReplayBuffer, TrainConfig,
-                              explore_actions, make_rngs, opt_states_init,
-                              run_training, sigma_at, td_targets, train_step)
+from nafdrive.learner import (ADAM_SLICES, JOINT, PRETRAIN, STAGE_BLOCKS, STAGE_SLICES,
+                              ReplayBuffer, TrainConfig, explore_actions, make_rngs,
+                              opt_states_init, run_training, sigma_at, td_targets,
+                              train_step)
 from nafdrive.nafq import (A_CAP, NafParams, RlState, fit_gradients,
                            greedy_actions_batch, q_values_batch)
 from nafdrive.simworld import WorldConfig
@@ -275,7 +276,7 @@ def _params_and_batch(seed=0, n=16):
 
 def test_pretrain_freezes_greedy_heads():
     params, target, batch = _params_and_batch()
-    head = params.span(*NafParams.MU_NET_NAMES)
+    head = params.span(NafParams.HEAD)
     frozen = params.flat[head].copy()
     opt = opt_states_init(params)
     for _ in range(5):
@@ -294,7 +295,7 @@ def test_head_adam_step_count_starts_at_joint_stage():
     opt = opt_states_init(params)
     for _ in range(5):
         train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
-    head = params.span(*NafParams.MU_NET_NAMES)
+    head = params.span(NafParams.HEAD)
     before = params.flat[head].copy()
     states, actions, next_states, rewards, nonterminal = batch
     targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
@@ -309,23 +310,37 @@ def test_head_adam_step_count_starts_at_joint_stage():
     assert np.allclose(moved[big], lr * g[big] / (g[big] + 1e-8), rtol=1e-9)
 
 
+def test_adam_slices_cover_the_stepped_block():
+    # Adam steps each parameter the stage backpropagates once, and no other:
+    # all of the flat vector in the joint stage, the Q block in pretrain
+    params = NafParams.init(0, hidden=(8,))
+    assert STAGE_BLOCKS == {PRETRAIN: NafParams.Q, JOINT: NafParams.ALL}
+    for stage, block in STAGE_BLOCKS.items():
+        stepped = np.zeros(params.flat.size, dtype=int)
+        for key in STAGE_SLICES[stage]:
+            stepped[params.span(ADAM_SLICES[key])] += 1
+        want = np.zeros_like(stepped)
+        want[params.span(block)] = 1
+        assert np.array_equal(stepped, want), stage
+
+
 def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
     params, target, batch = _params_and_batch(6)
-    names = {id(params.stack(*nets)): nets for nets in (("m_net", "v_net"), NafParams.NET_NAMES)}
+    blocks = {id(stack): block for block, stack in params.stacks.items()}
     seen = []
     backward = nafq.net_backward
 
     def counted(net, *args):
-        seen.append(names[id(net)])
+        seen.append(blocks[id(net)])
         return backward(net, *args)
 
     monkeypatch.setattr(nafq, "net_backward", counted)
     opt = opt_states_init(params)
     train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
-    assert seen == [("m_net", "v_net")]
+    assert seen == [NafParams.Q]
     seen.clear()
     train_step(params, target, batch, JOINT, opt, 0.001, 0.95)
-    assert seen == [NafParams.NET_NAMES]
+    assert seen == [NafParams.ALL]
 
 
 def test_pretrain_step_with_nonfinite_m_net_names_it():
@@ -376,19 +391,15 @@ def test_sync_target_bit_exact_and_independent():
 
 
 def test_copy_stacks_read_the_copy():
-    # the online params memoise every stack before the copy is made, so a
-    # memo carried over by the copy would hand the target the online views
+    # a stack carried over by the copy would hand the target the online views
     params, _, batch = _params_and_batch(9)
     states, _, next_states, rewards, nonterminal = batch
     online_mu = greedy_actions_batch(states, params)
-    stacks = [(name,) for name in NafParams.NET_NAMES] + [*nafq.HEAD_STACK, *nafq.ALL_NETS]
-    for names in stacks:
-        params.stack(*names)
     target = params.copy()
-    for names in stacks:
-        assert target.stack(*names) is not params.stack(*names)
-        assert np.shares_memory(target.stack(*names).flat, target.flat)
-        assert not np.shares_memory(target.stack(*names).flat, params.flat)
+    for block, stack in params.stacks.items():
+        assert target.stacks[block] is not stack
+        assert np.shares_memory(target.stacks[block].flat, target.flat)
+        assert not np.shares_memory(target.stacks[block].flat, params.flat)
     target_mu = greedy_actions_batch(states, target)
     targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
     train_step(params, target, batch, JOINT, opt_states_init(params), 0.01, 0.95)

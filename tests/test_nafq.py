@@ -11,7 +11,7 @@ from nafdrive.errors import ContractError
 from nafdrive.nafq import (A_CAP, M_EPS, T_MAX, T_MIN, Heads, NafParams, RlState,
                            fit_gradients, greedy_actions_batch, q_gradients_batch,
                            q_values_batch)
-from nafdrive.netcore import finite_diff_check, net_backward
+from nafdrive.netcore import finite_diff_check, net_backward, net_forward
 
 
 def const_params(amax_bias=0.0, beta_bias=0.0, ttrans_bias=0.0,
@@ -29,10 +29,16 @@ def q_gradient(state, a_yaw, params):
     return grad
 
 
-def heads(state, params, nets=NafParams.MU_NET_NAMES) -> Heads:
-    """The named nets, adjacent in NET_NAMES order, evaluated as one stack
-    at one state, a one-row batch."""
-    return Heads(params, [state], (nets,))
+def heads(state, params, block=NafParams.HEAD) -> Heads:
+    """The nets of `block` evaluated as one stack at one state, a one-row
+    batch."""
+    return Heads(params, [state], block)
+
+
+def net_span(params, name) -> slice:
+    """The slice of `params.flat` holding the named net."""
+    i = NafParams.NET_NAMES.index(name)
+    return params.span(range(i, i + 1))
 
 
 def q_of(state, a_yaw, params) -> float:
@@ -48,16 +54,14 @@ def random_state(rng) -> RlState:
 
 
 def forward_calls(monkeypatch, params):
-    """Record, in call order, the net names of each stack of `params` that
-    the nafq module global net_forward is called on, as the tracer sees
-    them."""
-    stacks = [(name,) for name in NafParams.NET_NAMES] + [*nafq.HEAD_STACK, *nafq.ALL_NETS]
-    names = {id(params.stack(*stack)): stack for stack in stacks}
+    """Record, in call order, the block of each stack of `params` that the
+    nafq module global net_forward is called on, as the tracer sees them."""
+    blocks = {id(stack): block for block, stack in params.stacks.items()}
     seen = []
     forward = nafq.net_forward
 
     def counted(net, *args):
-        seen.append(names[id(net)])
+        seen.append(blocks[id(net)])
         return forward(net, *args)
 
     monkeypatch.setattr(nafq, "net_forward", counted)
@@ -217,24 +221,21 @@ def test_policy_evaluates_only_the_head_nets(monkeypatch):
     states = [random_state(rng) for _ in range(3)]
     seen = forward_calls(monkeypatch, params)
     greedy_actions_batch(states, params)
-    assert seen == [NafParams.MU_NET_NAMES]  # one pass over the head stack
-    seen.clear()
-    heads(states[0], params, ("m_net",))
-    assert seen == [("m_net",)]
+    assert seen == [NafParams.HEAD]  # one pass over the head stack
     seen.clear()
     fit_gradients(states, np.zeros(3), np.zeros(3), params)
-    assert seen == [NafParams.NET_NAMES]  # the fit: one pass over all five
+    assert seen == [NafParams.ALL]  # the fit: one pass over all five
 
 
 # -- curvature and value heads
 
 
 def m_of(state, params) -> float:
-    return heads(state, params, ("m_net",)).m[0]
+    return heads(state, params, NafParams.ALL).m[0]
 
 
 def v_of(state, params) -> float:
-    return heads(state, params, ("v_net",)).v[0]
+    return heads(state, params, NafParams.ALL).v[0]
 
 
 def test_m_value_raw_zero():
@@ -313,7 +314,7 @@ def test_gradient_zero_for_amax_when_atmp_zero():
     params = NafParams.init(rng, hidden=(8,))
     s = RlState(20.0, 0.0, 0.0, 0.0, 0.1, 0.0)  # a_tmp = 0
     grad = q_gradient(s, 0.2, params)
-    assert np.all(grad[params.span("amax_net")] == 0.0)
+    assert np.all(grad[net_span(params, "amax_net")] == 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -332,15 +333,15 @@ def test_fit_restricted_to_q_nets_matches_full_fit():
     states = np.array([random_state(rng) for _ in range(16)])
     actions, targets = rng.uniform(-0.5, 0.5, 16), rng.normal(size=16)
     loss, grad = fit_gradients(states, actions, targets, params)
-    q_loss, q_grad = fit_gradients(states, actions, targets, params, ("m_net", "v_net"))
-    q_span = params.span("m_net", "v_net")
+    q_loss, q_grad = fit_gradients(states, actions, targets, params, NafParams.Q)
+    q_span = params.span(NafParams.Q)
     assert q_loss == loss
     assert np.array_equal(q_grad[q_span], grad[q_span])
-    assert np.all(q_grad[params.span(*NafParams.MU_NET_NAMES)] == 0.0)
-    assert np.any(grad[params.span(*NafParams.MU_NET_NAMES)] != 0.0)
+    assert np.all(q_grad[params.span(NafParams.HEAD)] == 0.0)
+    assert np.any(grad[params.span(NafParams.HEAD)] != 0.0)
 
 
-@pytest.mark.parametrize("nets", [NafParams.NET_NAMES, ("m_net", "v_net")])
+@pytest.mark.parametrize("nets", [NafParams.ALL, NafParams.Q])
 def test_fit_is_the_q_gradient_weighted_by_the_td_error(nets):
     # the one Q evaluation and the one backward pass: fit_gradients equals,
     # bit for bit, q_values_batch's loss and q_gradients_batch's gradient
@@ -353,7 +354,7 @@ def test_fit_is_the_q_gradient_weighted_by_the_td_error(nets):
     q, _ = q_values_batch(states, actions, params)
     q_grad, q_again = q_gradients_batch(states, actions,
                                         (2.0 / len(q)) * (q - targets), params)
-    span = params.span(*nets)
+    span = params.span(nets)
     assert np.array_equal(q_again, q)
     assert loss == float(np.mean((q - targets) ** 2))
     assert np.array_equal(grad[span], q_grad[span])
@@ -362,33 +363,46 @@ def test_fit_is_the_q_gradient_weighted_by_the_td_error(nets):
 
 def reference_fit(states, actions, targets, params, nets):
     """fit_gradients as one net_forward and one net_backward call per net:
-    each net evaluated alone, the upstream of each net chained by hand from
-    the heads, and each stepped net backpropagated on its own cache."""
-    h = Heads(params, states, [(name,) for name in NafParams.NET_NAMES])
-    diff = h.mu - actions
-    errors = h.m * diff * diff + h.v - targets
+    each net evaluated alone, the head transforms applied and the upstream
+    of each net chained by hand, and each net of the block `nets`
+    backpropagated on its own cache."""
+    S = np.asarray(states, dtype=float)
+    out, caches = {}, {}
+    for name, net in params.nets().items():
+        y, caches[name] = net_forward(net, S)
+        out[name] = y[0, :, 0]
+    sig_amax = nafq._sigmoid(out["amax_net"])
+    sig_ttrans = nafq._sigmoid(out["ttrans_net"])
+    a_max = params.a_cap * sig_amax
+    beta = np.logaddexp(0.0, out["beta_net"])
+    t_trns = (params.t_max - params.t_min) * sig_ttrans + params.t_min
+    dd, dphi = S[:, 2], S[:, 3]
+    dv = S[:, 0] * np.sin(dphi)
+    a_tmp = dd / t_trns**2 + dv * dphi / t_trns
+    tanh_arg = np.tanh(beta * a_tmp)
+    m = -np.logaddexp(0.0, out["m_net"]) - params.m_eps
+    diff = a_max * tanh_arg - actions
+    errors = m * diff * diff + out["v_net"] - targets
     coeffs = (2.0 / len(actions)) * errors
-    dq_dmu = 2.0 * h.m * diff
-    sech2 = 1.0 - h.tanh_arg**2
-    dd, dphi = h.S[:, 2], h.S[:, 3]
-    dv = h.S[:, 0] * np.sin(dphi)
-    datmp_dt = -2.0 * dd / h.t_trns**3 - dv * dphi / h.t_trns**2
+    dq_dmu = 2.0 * m * diff
+    sech2 = 1.0 - tanh_arg**2
+    datmp_dt = -2.0 * dd / t_trns**3 - dv * dphi / t_trns**2
     upstream = {
-        "amax_net": dq_dmu * h.tanh_arg * params.a_cap * h.sig_amax * (1.0 - h.sig_amax),
-        "beta_net": dq_dmu * (h.a_max * sech2 * h.a_tmp) * nafq._sigmoid(h.o["beta_net"]),
-        "ttrans_net": (dq_dmu * (h.a_max * sech2 * h.beta) * datmp_dt
-                       * (params.t_max - params.t_min) * h.sig_ttrans * (1.0 - h.sig_ttrans)),
-        "m_net": -(diff * diff) * nafq._sigmoid(h.o["m_net"]),
+        "amax_net": dq_dmu * tanh_arg * params.a_cap * sig_amax * (1.0 - sig_amax),
+        "beta_net": dq_dmu * (a_max * sech2 * a_tmp) * nafq._sigmoid(out["beta_net"]),
+        "ttrans_net": (dq_dmu * (a_max * sech2 * beta) * datmp_dt
+                       * (params.t_max - params.t_min) * sig_ttrans * (1.0 - sig_ttrans)),
+        "m_net": -(diff * diff) * nafq._sigmoid(out["m_net"]),
         "v_net": 1.0,
     }
     grad = np.zeros(params.flat.shape)
-    for name in nets:
+    for name in NafParams.NET_NAMES[nets.start:nets.stop]:
         up = (coeffs * upstream[name])[None, :, None]
-        net_backward(params.stack(name), h.caches[(name,)], up, grad[params.span(name)])
+        net_backward(getattr(params, name), caches[name], up, grad[net_span(params, name)])
     return float(np.mean(errors**2)), grad
 
 
-@pytest.mark.parametrize("nets", [NafParams.NET_NAMES, ("m_net", "v_net")])
+@pytest.mark.parametrize("nets", [NafParams.ALL, NafParams.Q])
 def test_fit_equals_the_per_net_fit_bit_for_bit(nets):
     # OpenBLAS picks its kernel by row count, so the sizes span its paths
     rng = np.random.default_rng(15)
@@ -402,7 +416,7 @@ def test_fit_equals_the_per_net_fit_bit_for_bit(nets):
         want_loss, want_grad = reference_fit(states, actions, targets, params, nets)
         assert repr(loss) == repr(want_loss), n
         assert grad.tobytes() == want_grad.tobytes(), n
-        assert grad[params.span(*nets)].any(), n
+        assert grad[params.span(nets)].any(), n
 
 
 @pytest.mark.parametrize("bad", range(5))
@@ -424,23 +438,14 @@ def test_nonfinite_gradient_names_only_its_net(monkeypatch, bad):
 
     monkeypatch.setattr(nafq, "net_forward", poisoned)
     name = NafParams.NET_NAMES[bad]
-    for nets in (NafParams.NET_NAMES, ("m_net", "v_net")):
+    for nets in (NafParams.ALL, NafParams.Q):
         with np.errstate(invalid="ignore", over="ignore"):
-            if name in nets:
+            if bad in nets:
                 with pytest.raises(NumericalError, match=f"through {name}$"):
                     fit_gradients(states, actions, targets, params, nets)
             else:
                 _, grad = fit_gradients(states, actions, targets, params, nets)
                 assert np.isfinite(grad).all()
-
-
-@pytest.mark.parametrize("nets", [("amax_net", "m_net"), ("v_net", "m_net"), ()])
-def test_fit_refuses_nets_that_are_not_adjacent(nets):
-    rng = np.random.default_rng(17)
-    params = NafParams.init(rng, hidden=(8,))
-    states = np.array([random_state(rng) for _ in range(3)])
-    with pytest.raises(ContractError, match="not adjacent"):
-        fit_gradients(states, np.zeros(3), np.zeros(3), params, nets)
 
 
 @pytest.mark.parametrize("actions", [np.zeros((3, 1)), np.zeros((1, 3)), np.zeros(2),
@@ -471,11 +476,26 @@ def test_params_copy_independent():
 
 
 def test_params_span_layout():
+    # the two blocks tile the flat vector in NET_NAMES order, and every
+    # stack, a copy's too, is a view of its own params' vector
     params = NafParams.init(0, hidden=(8,))
     n = params.v_net.flat.size
     assert params.flat.shape == (5 * n,)
-    assert params.span(*NafParams.MU_NET_NAMES) == slice(0, 3 * n)
-    assert params.span("m_net", "v_net") == slice(3 * n, 5 * n)
-    assert np.array_equal(params.flat[params.span("beta_net")], params.beta_net.flat)
-    with pytest.raises(ContractError):
-        params.span("amax_net", "m_net")
+    assert params.HEAD.start == 0 and params.HEAD.stop == params.Q.start
+    assert params.Q.stop == len(NafParams.NET_NAMES) and params.ALL == range(5)
+    assert params.span(NafParams.HEAD) == slice(0, 3 * n)
+    assert params.span(NafParams.Q) == slice(3 * n, 5 * n)
+    assert np.array_equal(params.flat[net_span(params, "beta_net")], params.beta_net.flat)
+    dup = params.copy()
+    for p in (params, dup):
+        assert set(p.stacks) == {NafParams.HEAD, NafParams.Q, NafParams.ALL}
+        for block, stack in p.stacks.items():
+            assert stack.count == len(block)
+            assert np.shares_memory(stack.flat, p.flat)
+            assert stack.flat.base is p.flat
+            assert np.array_equal(stack.flat, p.flat[p.span(block)])
+        for name, net in p.nets().items():
+            assert net.flat.base is p.flat
+            assert np.array_equal(net.flat, p.flat[net_span(p, name)])
+    for stack in dup.stacks.values():
+        assert not np.shares_memory(stack.flat, params.flat)
