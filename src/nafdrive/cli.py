@@ -218,14 +218,23 @@ def save_checkpoint(path: str, step: int, params: NafParams, _target_params,
 
 
 def load_checkpoint(path: str) -> dict:
+    """The step, parameters and config digest saved at `path`; a file that
+    is not a checkpoint of this version raises ConfigurationError."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"checkpoint {path} must be a JSON object")
     if data.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigurationError(
             f"unsupported checkpoint version {data.get('format_version')!r}")
+    # a value of a wrong JSON type, or a flat that does not fit layer_dims
+    try:
+        params = _params_from_json(data["params"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed checkpoint {path}: {exc}") from None
     return {
         "step": data["step"],
-        "params": _params_from_json(data["params"]),
+        "params": params,
         "config_digest": data["config_digest"],
     }
 
@@ -247,7 +256,7 @@ def _load_policy(checkpoint_path: str, config_path: str,
     return cfg, params
 
 
-# what eval and trace report as `error:` with exit status 2
+# what every command reports as `error:` with exit status 2
 _RUN_ERRORS = (ConfigurationError, OSError, json.JSONDecodeError, KeyError,
                RuntimeError)
 
@@ -284,11 +293,7 @@ def _episode_row(ep):
 
 
 def cmd_train(config_path: str, out_dir: str, seed_override=None) -> int:
-    try:
-        cfg = load_config(config_path, seed_override)
-    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(config_path, seed_override)
     os.makedirs(out_dir, exist_ok=True)
     digest = config_digest(cfg.raw)
 
@@ -335,15 +340,11 @@ def run_eval_episodes(params: NafParams, world_cfg: WorldConfig, dt: float,
 
 def cmd_eval(checkpoint_path: str, config_path: str, episodes: int, seed: int,
              out_path: str, force: bool = False) -> int:
-    try:
-        _check_seed(seed)
-        if episodes < 1:
-            raise ConfigurationError(f"episodes must be positive, not {episodes}")
-        cfg, params = _load_policy(checkpoint_path, config_path, force)
-        eps = run_eval_episodes(params, cfg.world, cfg.train.dt, episodes, seed)
-    except _RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_seed(seed)
+    if episodes < 1:
+        raise ConfigurationError(f"episodes must be positive, not {episodes}")
+    cfg, params = _load_policy(checkpoint_path, config_path, force)
+    eps = run_eval_episodes(params, cfg.world, cfg.train.dt, episodes, seed)
     rows = [_episode_row(ep) for ep in eps]
     # the mean of each numeric column: duration_s, R, R_acce, R_rate, R_dev
     means = [sum(col) / len(eps) for col in zip(*(row[3:8] for row in rows))]
@@ -390,13 +391,9 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
 
 def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
               force: bool = False) -> int:
-    try:
-        _check_seed(seed)
-        cfg, params = _load_policy(checkpoint_path, config_path, force)
-        rows = run_trace(params, cfg.world, cfg.train.dt, seed)
-    except _RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_seed(seed)
+    cfg, params = _load_policy(checkpoint_path, config_path, force)
+    rows = run_trace(params, cfg.world, cfg.train.dt, seed)
     write_csv(out_path, TRACE_HEADER, rows)
     return 0
 
@@ -452,6 +449,7 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
 
 def cmd_checkgrad(seed: int, inject_fault: bool = False,
                   threshold: float = 1e-4) -> int:
+    _check_seed(seed)
     errors = checkgrad_suite(seed, inject_fault=inject_fault)
     bad = []
     for name, err in errors.items():
@@ -502,16 +500,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "train":
-        return cmd_train(args.config, args.out, args.seed)
-    if args.command == "eval":
-        return cmd_eval(args.checkpoint, args.config, args.episodes, args.seed,
-                        args.out, args.force)
-    if args.command == "trace":
-        return cmd_trace(args.checkpoint, args.config, args.seed, args.out,
-                         args.force)
-    if args.command == "checkgrad":
-        return cmd_checkgrad(args.seed, args.inject_fault)
+    try:
+        if args.command == "train":
+            return cmd_train(args.config, args.out, args.seed)
+        if args.command == "eval":
+            return cmd_eval(args.checkpoint, args.config, args.episodes, args.seed,
+                            args.out, args.force)
+        if args.command == "trace":
+            return cmd_trace(args.checkpoint, args.config, args.seed, args.out,
+                             args.force)
+        if args.command == "checkgrad":
+            return cmd_checkgrad(args.seed, args.inject_fault)
+    except _RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(args.command)
 
 

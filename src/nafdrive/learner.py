@@ -2,6 +2,11 @@
 the parameters, the mini-batch squared-error loss, the two-stage freezing
 schedule, and the top-level interleaved simulate/train loop.
 
+A training stage is the block of the parameter layout it steps,
+`NafParams.Q` in pretrain and `NafParams.ALL` in the joint stage; Adam
+keeps a step count for each layout block, HEAD and Q, and steps each one
+inside the stage's block.
+
 The "two parallel loops" (simulation and training) are realized as a
 deterministic interleave: one environment tick, then one gradient step
 once the buffer holds a full batch.  The whole pipeline is a pure
@@ -19,16 +24,6 @@ from .errors import ConfigurationError, ContractError, NumericalError
 from .nafq import STATE_DIM, NafParams, fit_gradients, greedy_actions_batch
 from .netcore import OptState, adaptive_update, net_forward
 from .simworld import EpisodeMetrics, World, WorldConfig
-
-PRETRAIN = "pretrain"
-JOINT = "joint"
-
-# Adam's slices, the two blocks of the parameter layout, each with its own
-# step count, and the block each stage steps: the curvature and value nets
-# train in both stages, the greedy head only in the joint stage.
-ADAM_SLICES = {"head": NafParams.HEAD, "q": NafParams.Q}
-STAGE_SLICES = {PRETRAIN: ("q",), JOINT: ("head", "q")}
-STAGE_BLOCKS = {PRETRAIN: NafParams.Q, JOINT: NafParams.ALL}
 
 # glibc hands the top of its heap back to the system whenever a free leaves
 # more than its trim threshold there, and that threshold is twice the
@@ -119,35 +114,37 @@ def td_targets(next_states, rewards, nonterminal, target_params, gamma):
 
 
 def train_step(params: NafParams, target_params: NafParams, batch,
-               stage: str, opt_states: OptState, lr: float, gamma: float) -> float:
-    """One semi-gradient step on the mini-batch loss.
+               block: range, opt_states: OptState, lr: float, gamma: float) -> float:
+    """One semi-gradient step on the mini-batch loss through the nets of
+    `block`: `NafParams.Q` in pretrain, `NafParams.ALL` in the joint stage.
 
     The target is treated as a constant (no gradient through the frozen
     copy).  In the pretrain stage only the curvature and value networks
     update; the three greedy-head networks stay bit-frozen.
     """
-    if stage not in STAGE_SLICES:
-        raise ConfigurationError(f"unknown stage {stage!r}")
+    if block not in (NafParams.Q, NafParams.ALL):
+        raise ContractError(f"train_step steps NafParams.Q or NafParams.ALL, not {block!r}")
     states, actions, next_states, rewards, nonterminal = batch
     targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
 
     # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta,
     # backpropagated only through the block this stage steps
-    loss, grad = fit_gradients(states, actions, targets, params, STAGE_BLOCKS[stage])
+    loss, grad = fit_gradients(states, actions, targets, params, block)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss; step aborted")
 
-    for key in STAGE_SLICES[stage]:
-        span = params.span(ADAM_SLICES[key])
-        opt_states.t[key] = adaptive_update(params.flat[span], grad[span],
-                                            opt_states.m[span], opt_states.v[span],
-                                            opt_states.t[key], lr)
+    for part, t in opt_states.t.items():  # each layout block inside `block`
+        if block.start <= part.start and part.stop <= block.stop:
+            span = params.span(part)
+            opt_states.t[part] = adaptive_update(params.flat[span], grad[span],
+                                                 opt_states.m[span], opt_states.v[span], t, lr)
     return loss
 
 
 def opt_states_init(params: NafParams) -> OptState:
+    """Zero Adam moments and a zero step count for each layout block."""
     return OptState(np.zeros_like(params.flat), np.zeros_like(params.flat),
-                    dict.fromkeys(ADAM_SLICES, 0))
+                    dict.fromkeys((NafParams.HEAD, NafParams.Q), 0))
 
 
 def make_rngs(seed: int) -> dict:
@@ -227,14 +224,14 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
 
         if len(buffer) >= train_cfg.batch_size:
             batch = buffer.sample(train_cfg.batch_size, rngs["replay"])
-            stage = PRETRAIN if step <= train_cfg.pretrain_steps else JOINT
-            if stage == JOINT and last_loss is None:
+            block = NafParams.Q if step <= train_cfg.pretrain_steps else NafParams.ALL
+            if block == NafParams.ALL and last_loss is None:
                 warnings.warn(
                     f"the first gradient step, at step {step}, is in the joint "
                     f"stage: pretrain_steps {train_cfg.pretrain_steps} ended before "
                     f"the replay buffer held a batch of {train_cfg.batch_size}, so "
                     f"no pretrain step ran", RuntimeWarning, stacklevel=2)
-            last_loss = train_step(params, target_params, batch, stage,
+            last_loss = train_step(params, target_params, batch, block,
                                    opt_states, train_cfg.learning_rate,
                                    train_cfg.gamma)
         if step % train_cfg.loss_log_every == 0:

@@ -75,13 +75,13 @@ class Network:
 
 @dataclass
 class OptState:
-    """Adam moments, shape-congruent with a flat parameter vector.  Slices
+    """Adam moments, shape-congruent with a flat parameter vector.  Blocks
     of the vector that are stepped on different schedules keep separate
-    step counts, by name, in `t`."""
+    step counts, by block, in `t`."""
 
     m: np.ndarray
     v: np.ndarray
-    t: dict[str, int]
+    t: dict[range, int]
 
 
 def net_init(layer_dims, seed, flat=None) -> Network:

@@ -136,6 +136,32 @@ def test_checkpoint_version_checked(tmp_path, capsys):
     assert not os.path.exists(dst)
 
 
+@pytest.mark.parametrize("malform", [
+    lambda data: [data],
+    lambda data: {**data, "params": {**data["params"], "flat": data["params"]["flat"][:-1]}},
+    lambda data: {**data, "params": {**data["params"], "layer_dims": [6, 0, 1]}},
+    lambda data: {**data, "params": []},
+    lambda data: {**data, "params": {**data["params"], "flat": ["x"]}},
+    lambda data: {**data, "params": {**data["params"],
+                                     "constants": {**data["params"]["constants"], "x": 1}}},
+], ids=["list", "flat-one-short", "zero-width-layer", "params-list", "flat-string",
+        "unknown-constant"])
+def test_malformed_checkpoint_refused(malform, trained_run, tmp_path, capsys):
+    cfg_path, run = trained_run
+    data = json.loads(Path(run, "checkpoint_00000600.json").read_text())
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(malform(data)))
+    with pytest.raises(ConfigurationError):
+        load_checkpoint(str(path))
+    dst = tmp_path / "out.csv"
+    for argv in (["eval", "--episodes", "1"], ["trace"]):
+        assert main([*argv, "--checkpoint", str(path), "--config", cfg_path,
+                     "--out", str(dst)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not dst.exists()
+
+
 # -- train command
 
 
@@ -267,6 +293,28 @@ def test_negative_seed_and_nonpositive_episodes_rejected(argv, config_seed, trai
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["checkgrad", "--seed", "-1"],
+    ["eval", "--episodes", "1", "--out", "{missing}/eval.csv"],
+    ["trace", "--out", "{missing}/trace.csv"],
+    ["train", "--out", "{file}"],
+    ["train", "--out", "{file}/sub"],
+])
+def test_every_command_reports_a_refused_argument_on_one_line(argv, trained_run, tmp_path,
+                                                              capsys):
+    cfg_path, run = trained_run
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = [arg.format(missing=tmp_path / "missing", file=file) for arg in argv]
+    if argv[0] in ("eval", "trace"):
+        argv += ["--checkpoint", os.path.join(run, "checkpoint_00000600.json")]
+    if argv[0] != "checkgrad":
+        argv += ["--config", cfg_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize("section, field, value", [

@@ -12,8 +12,7 @@ import pytest
 
 from nafdrive import nafq
 from nafdrive.errors import ConfigurationError, ContractError, NumericalError
-from nafdrive.learner import (ADAM_SLICES, JOINT, PRETRAIN, STAGE_BLOCKS, STAGE_SLICES,
-                              ReplayBuffer, TrainConfig, explore_actions, make_rngs,
+from nafdrive.learner import (ReplayBuffer, TrainConfig, explore_actions, make_rngs,
                               opt_states_init, run_training, sigma_at, td_targets,
                               train_step)
 from nafdrive.nafq import (A_CAP, NafParams, RlState, fit_gradients,
@@ -170,8 +169,8 @@ def test_train_step_on_ring_sample_matches_stacked_states():
     for batch in (ring_batch, by_hand):
         p = params.copy()
         opt = opt_states_init(p)
-        losses = [train_step(p, target, batch, stage, opt, 0.001, 0.95)
-                  for stage in (PRETRAIN, JOINT, JOINT)]
+        losses = [train_step(p, target, batch, block, opt, 0.001, 0.95)
+                  for block in (NafParams.Q, NafParams.ALL, NafParams.ALL)]
         results.append((losses, p.flat))
     assert results[0][0] == results[1][0]
     assert np.array_equal(results[0][1], results[1][1])
@@ -280,9 +279,9 @@ def test_pretrain_freezes_greedy_heads():
     frozen = params.flat[head].copy()
     opt = opt_states_init(params)
     for _ in range(5):
-        train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
+        train_step(params, target, batch, NafParams.Q, opt, 0.001, 0.95)
     assert np.array_equal(params.flat[head], frozen)
-    assert np.all(opt.m[head] == 0.0) and opt.t == {"head": 0, "q": 5}
+    assert np.all(opt.m[head] == 0.0) and opt.t == {NafParams.HEAD: 0, NafParams.Q: 5}
     # the value heads did move
     assert not np.array_equal(params.v_net.biases[-1], target.v_net.biases[-1])
 
@@ -294,7 +293,7 @@ def test_head_adam_step_count_starts_at_joint_stage():
     params, target, batch = _params_and_batch(5)
     opt = opt_states_init(params)
     for _ in range(5):
-        train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
+        train_step(params, target, batch, NafParams.Q, opt, 0.001, 0.95)
     head = params.span(NafParams.HEAD)
     before = params.flat[head].copy()
     states, actions, next_states, rewards, nonterminal = batch
@@ -302,26 +301,29 @@ def test_head_adam_step_count_starts_at_joint_stage():
     _, grad = fit_gradients(states, actions, targets, params)
     g = np.abs(grad[head])
     lr = 0.001
-    train_step(params, target, batch, JOINT, opt, lr, 0.95)
-    assert opt.t == {"head": 1, "q": 6}
+    train_step(params, target, batch, NafParams.ALL, opt, lr, 0.95)
+    assert opt.t == {NafParams.HEAD: 1, NafParams.Q: 6}
     moved = np.abs(params.flat[head] - before)
     big = g > 1e-4
     assert big.sum() > 10
     assert np.allclose(moved[big], lr * g[big] / (g[big] + 1e-8), rtol=1e-9)
 
 
-def test_adam_slices_cover_the_stepped_block():
-    # Adam steps each parameter the stage backpropagates once, and no other:
-    # all of the flat vector in the joint stage, the Q block in pretrain
-    params = NafParams.init(0, hidden=(8,))
-    assert STAGE_BLOCKS == {PRETRAIN: NafParams.Q, JOINT: NafParams.ALL}
-    for stage, block in STAGE_BLOCKS.items():
-        stepped = np.zeros(params.flat.size, dtype=int)
-        for key in STAGE_SLICES[stage]:
-            stepped[params.span(ADAM_SLICES[key])] += 1
-        want = np.zeros_like(stepped)
-        want[params.span(block)] = 1
-        assert np.array_equal(stepped, want), stage
+def test_adam_steps_each_layout_block_inside_the_stepped_block():
+    # a step moves the parameters and first moments of the stepped block
+    # only, and counts one Adam step for each layout block inside it
+    params, target, batch = _params_and_batch(8)
+    opt = opt_states_init(params)
+    for block, stepped in ((NafParams.Q, [NafParams.Q]),
+                           (NafParams.ALL, [NafParams.HEAD, NafParams.Q])):
+        before, m_before, t_before = params.flat.copy(), opt.m.copy(), dict(opt.t)
+        train_step(params, target, batch, block, opt, 0.001, 0.95)
+        outside = np.ones(params.flat.size, dtype=bool)
+        outside[params.span(block)] = False
+        for new, old in ((params.flat, before), (opt.m, m_before)):
+            assert np.array_equal(new[outside], old[outside]), block
+            assert np.all(new[~outside] != old[~outside]), block
+        assert opt.t == {part: t + (part in stepped) for part, t in t_before.items()}
 
 
 def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
@@ -336,10 +338,10 @@ def test_train_step_backpropagates_only_the_stepped_nets(monkeypatch):
 
     monkeypatch.setattr(nafq, "net_backward", counted)
     opt = opt_states_init(params)
-    train_step(params, target, batch, PRETRAIN, opt, 0.001, 0.95)
+    train_step(params, target, batch, NafParams.Q, opt, 0.001, 0.95)
     assert seen == [NafParams.Q]
     seen.clear()
-    train_step(params, target, batch, JOINT, opt, 0.001, 0.95)
+    train_step(params, target, batch, NafParams.ALL, opt, 0.001, 0.95)
     assert seen == [NafParams.ALL]
 
 
@@ -347,21 +349,21 @@ def test_pretrain_step_with_nonfinite_m_net_names_it():
     params, target, batch = _params_and_batch(7)
     params.m_net.weights[0][0, 0, 0] = math.nan  # one weight of the stack of one
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="m_net"):
-        train_step(params, target, batch, PRETRAIN, opt_states_init(params),
+        train_step(params, target, batch, NafParams.Q, opt_states_init(params),
                    0.001, 0.95)
 
 
 def test_zero_lr_changes_nothing():
     params, target, batch = _params_and_batch(1)
     before = params.copy()
-    train_step(params, target, batch, JOINT, opt_states_init(params), 0.0, 0.95)
+    train_step(params, target, batch, NafParams.ALL, opt_states_init(params), 0.0, 0.95)
     assert np.array_equal(params.flat, before.flat)
 
 
 def test_unknown_stage_rejected():
     params, target, batch = _params_and_batch(2)
-    with pytest.raises(ConfigurationError):
-        train_step(params, target, batch, "warmup", opt_states_init(params),
+    with pytest.raises(ContractError):
+        train_step(params, target, batch, NafParams.HEAD, opt_states_init(params),
                    0.001, 0.95)
 
 
@@ -371,7 +373,7 @@ def test_overfit_one_batch():
     initial = fit_loss(batch, params, target)[0]
     loss = initial
     for _ in range(100):
-        loss = train_step(params, target, batch, JOINT, opt, 0.01, 0.95)
+        loss = train_step(params, target, batch, NafParams.ALL, opt, 0.01, 0.95)
     assert loss < 0.1 * initial
 
 
@@ -402,7 +404,7 @@ def test_copy_stacks_read_the_copy():
         assert not np.shares_memory(target.stacks[block].flat, params.flat)
     target_mu = greedy_actions_batch(states, target)
     targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
-    train_step(params, target, batch, JOINT, opt_states_init(params), 0.01, 0.95)
+    train_step(params, target, batch, NafParams.ALL, opt_states_init(params), 0.01, 0.95)
     assert np.array_equal(greedy_actions_batch(states, target), target_mu)
     assert np.array_equal(td_targets(next_states, rewards, nonterminal, target, 0.95),
                           targets)
