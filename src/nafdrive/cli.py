@@ -33,6 +33,10 @@ from .netcore import finite_diff_check, net_backward, net_forward, net_init
 from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
 CHECKPOINT_VERSION = 3
+EVAL_MAX_STEPS = 500_000  # ticks an evaluation runs before it gives up
+TRACE_MAX_STEPS = 100_000  # ticks a trace runs before it gives up
+CHECKGRAD_H = 1e-4  # the finite-difference step of the gradient checks
+CHECKGRAD_THRESHOLD = 1e-4  # the relative error at which a gradient check fails
 
 
 # config section -> its dataclass and the fields it leaves out; each name,
@@ -123,6 +127,14 @@ def _check_seed(seed: int):
     # numpy's generators take no negative seed
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, not {seed}")
+
+
+def _check_out(path: str):
+    # atomic_write would fail only after the rollout, naming its temporary file
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write --out {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigurationError(f"cannot write --out {path}: no such directory")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -323,19 +335,19 @@ def cmd_train(config_path: str, out_dir: str, seed_override=None) -> int:
 
 
 def run_eval_episodes(params: NafParams, world_cfg: WorldConfig, dt: float,
-                      n_episodes: int, seed: int, max_steps: int = 500_000):
+                      n_episodes: int, seed: int):
     """Greedy rollouts until n_episodes lane changes finish."""
     rngs = make_rngs(seed)
     world = World(world_cfg, rngs["spawn"], rngs["trigger"])
     policy = greedy_policy(params)
     episodes = []
-    for _ in range(max_steps):
+    for _ in range(EVAL_MAX_STEPS):
         result = world.step(policy, dt)
         episodes.extend(result.episodes)
         if len(episodes) >= n_episodes:
             return episodes[:n_episodes]
     raise RuntimeError(
-        f"only {len(episodes)} lane-change episodes in {max_steps} steps")
+        f"only {len(episodes)} lane-change episodes in {EVAL_MAX_STEPS} steps")
 
 
 def cmd_eval(checkpoint_path: str, config_path: str, episodes: int, seed: int,
@@ -343,6 +355,7 @@ def cmd_eval(checkpoint_path: str, config_path: str, episodes: int, seed: int,
     _check_seed(seed)
     if episodes < 1:
         raise ConfigurationError(f"episodes must be positive, not {episodes}")
+    _check_out(out_path)
     cfg, params = _load_policy(checkpoint_path, config_path, force)
     eps = run_eval_episodes(params, cfg.world, cfg.train.dt, episodes, seed)
     rows = [_episode_row(ep) for ep in eps]
@@ -357,8 +370,7 @@ TRACE_HEADER = ["step", "t", "a_yaw", "omega", "theta", "d", "delta_d_lat",
                 "r", "r_acce", "r_rate", "r_dev"]
 
 
-def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
-              max_steps: int = 100_000):
+def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int):
     """Per-step record of the first greedy lane-change episode."""
     rngs = make_rngs(seed)
     world = World(world_cfg, rngs["spawn"], rngs["trigger"])
@@ -367,7 +379,7 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
     # from the road, when it is capped or exits in the tick its episode closes
     traced = None
     rows = []
-    for _ in range(max_steps):
+    for _ in range(TRACE_MAX_STEPS):
         present = world.vehicles[:] if traced is None else None
         result = world.step(policy, dt)
         for tr in result.transitions:
@@ -386,12 +398,13 @@ def run_trace(params: NafParams, world_cfg: WorldConfig, dt: float, seed: int,
         if traced is not None and any(ep.vehicle_id == traced.id
                                       for ep in result.episodes):
             return rows
-    raise RuntimeError(f"no lane-change episode finished within {max_steps} steps")
+    raise RuntimeError(f"no lane-change episode finished within {TRACE_MAX_STEPS} steps")
 
 
 def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
               force: bool = False) -> int:
     _check_seed(seed)
+    _check_out(out_path)
     cfg, params = _load_policy(checkpoint_path, config_path, force)
     rows = run_trace(params, cfg.world, cfg.train.dt, seed)
     write_csv(out_path, TRACE_HEADER, rows)
@@ -401,7 +414,7 @@ def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
 # -- gradient verification harness
 
 
-def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> dict:
+def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
     """Finite-difference sweeps for net, Q, and loss gradients.
 
     Small hidden layers keep the parameter sweep fast; the gradient code
@@ -414,7 +427,7 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     y, cache = net_forward(net, x)
     net_grad = net_backward(net, cache, np.ones_like(y))
     net_err = finite_diff_check(lambda: float(np.sum(net_forward(net, x)[0])),
-                                net.flat, net_grad, h)
+                                net.flat, net_grad, CHECKGRAD_H)
 
     params = NafParams.init(rng, hidden=(8,))
     state_arr = rng.normal(size=6)
@@ -424,11 +437,11 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
     grad, _ = q_gradients_batch([state], [a_yaw], [1.0], params)
     if inject_fault:
         grad[params.span(NafParams.Q).start] *= 1.10  # first weight of m_net
-    q_err = finite_diff_check(
-        lambda: q_values_batch([state], [a_yaw], params)[0][0], params.flat, grad, h)
+    q_err = finite_diff_check(lambda: q_values_batch([state], [a_yaw], params)[0][0],
+                              params.flat, grad, CHECKGRAD_H)
 
     # loss gradients on a small random batch
-    target = NafParams.init(rng, hidden=(8,))
+    target_v = NafParams.init(rng, hidden=(8,)).v_net
     rows = []
     for _ in range(4):
         sa = rng.normal(size=6)
@@ -437,24 +450,23 @@ def checkgrad_suite(seed: int, h: float = 1e-4, inject_fault: bool = False) -> d
                      0.0 if rng.uniform() < 0.2 else 1.0))
     states, actions, next_states, rewards, nonterminal = (
         np.array(column) for column in zip(*rows))
-    targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
+    targets = td_targets(next_states, rewards, nonterminal, target_v, 0.95)
     # the gradient train_step takes, against the loss it descends
     _, loss_grad = fit_gradients(states, actions, targets, params)
     loss_err = finite_diff_check(
         lambda: fit_gradients(states, actions, targets, params)[0],
-        params.flat, loss_grad, h)
+        params.flat, loss_grad, CHECKGRAD_H)
 
     return {"net": net_err, "q_value": q_err, "batch_loss": loss_err}
 
 
-def cmd_checkgrad(seed: int, inject_fault: bool = False,
-                  threshold: float = 1e-4) -> int:
+def cmd_checkgrad(seed: int, inject_fault: bool = False) -> int:
     _check_seed(seed)
     errors = checkgrad_suite(seed, inject_fault=inject_fault)
     bad = []
     for name, err in errors.items():
         print(f"{name}: max relative error {err:.3e}")
-        if err >= threshold:
+        if err >= CHECKGRAD_THRESHOLD:
             bad.append(name)
     if bad:
         print(f"error: gradient check failed for: {', '.join(bad)}",

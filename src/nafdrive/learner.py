@@ -1,5 +1,5 @@
 """Training machinery: replay memory, TD targets against a frozen copy of
-the parameters, the mini-batch squared-error loss, the two-stage freezing
+the value net, the mini-batch squared-error loss, the two-stage freezing
 schedule, and the top-level interleaved simulate/train loop.
 
 A training stage is the block of the parameter layout it steps,
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericalError
 from .nafq import STATE_DIM, NafParams, fit_gradients, greedy_actions_batch
-from .netcore import OptState, adaptive_update, net_forward
+from .netcore import Network, OptState, adaptive_update, net_forward
 from .simworld import EpisodeMetrics, World, WorldConfig
 
 # glibc hands the top of its heap back to the system whenever a free leaves
@@ -104,28 +104,32 @@ class TrainConfig:
             raise ConfigurationError("dt must be positive and learning_rate >= 0")
         if not (self.sigma_start >= self.sigma_end >= 0):
             raise ConfigurationError("need sigma_start >= sigma_end >= 0")
+        for step in self.checkpoint_schedule:
+            if not 1 <= step <= self.total_steps:
+                raise ConfigurationError(f"checkpoint_schedule step {step} is outside "
+                                         f"1..total_steps ({self.total_steps})")
         return self
 
 
-def td_targets(next_states, rewards, nonterminal, target_params, gamma):
-    """r + gamma * V(s') under the frozen target value net; zero V at terminals."""
-    v_next, _ = net_forward(target_params.v_net, next_states)
+def td_targets(next_states, rewards, nonterminal, target_v: Network, gamma):
+    """r + gamma * V(s') under `target_v`, the frozen value net; zero V at terminals."""
+    v_next, _ = net_forward(target_v, next_states)
     return rewards + gamma * nonterminal * v_next[0, :, 0]
 
 
-def train_step(params: NafParams, target_params: NafParams, batch,
+def train_step(params: NafParams, target_v: Network, batch,
                block: range, opt_states: OptState, lr: float, gamma: float) -> float:
     """One semi-gradient step on the mini-batch loss through the nets of
     `block`: `NafParams.Q` in pretrain, `NafParams.ALL` in the joint stage.
 
-    The target is treated as a constant (no gradient through the frozen
-    copy).  In the pretrain stage only the curvature and value networks
-    update; the three greedy-head networks stay bit-frozen.
+    The TD target is a constant: no gradient flows through `target_v`, the
+    frozen value net.  In the pretrain stage only the curvature and value
+    networks update; the three greedy-head networks stay bit-frozen.
     """
     if block not in (NafParams.Q, NafParams.ALL):
         raise ContractError(f"train_step steps NafParams.Q or NafParams.ALL, not {block!r}")
     states, actions, next_states, rewards, nonterminal = batch
-    targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
+    targets = td_targets(next_states, rewards, nonterminal, target_v, gamma)
 
     # semi-gradient: dL/dtheta = (2/N) * sum_i (Q_i - target_i) * dQ_i/dtheta,
     # backpropagated only through the block this stage steps
@@ -186,21 +190,21 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
 
     Per tick: every maneuvering vehicle acts under the current parameters
     with Gaussian exploration and its transition enters the buffer; one
-    gradient step runs once the buffer holds a full batch; the frozen copy
-    is overwritten every target_sync_every steps; the stage switches from
-    pretrain to joint after pretrain_steps (a RuntimeWarning says so when
-    that comes before the first gradient step).  Loss is logged every
-    loss_log_every global steps (empty before the first trained step) and
-    `checkpoint_hook(step, params)` fires at each scheduled step with the
-    online parameters, which training goes on to update in place.
-    Rows are appended to `loss_rows` and `episode_rows` as they are
-    produced, so a caller that passes its own lists keeps the rows logged
-    before a fault.
+    gradient step runs once the buffer holds a full batch; the value net is
+    copied every target_sync_every steps into its frozen copy, allocated
+    once; the stage switches from pretrain to joint after pretrain_steps (a
+    RuntimeWarning says so when that comes before the first gradient step).
+    Loss is logged every loss_log_every global steps (empty before the
+    first trained step) and `checkpoint_hook(step, params)` fires at each
+    scheduled step with the online parameters, which training goes on to
+    update in place.  Rows are appended to `loss_rows` and `episode_rows`
+    as they are produced, so a caller that passes its own lists keeps the
+    rows logged before a fault.
     """
     train_cfg.validate()
     rngs = make_rngs(train_cfg.seed)
     params = NafParams.init(rngs["init"], **(naf_constants or {}))
-    target_params = params.copy()
+    target_v = Network(params.layer_dims, params.v_net.flat.copy())
     opt_states = opt_states_init(params)
     buffer = ReplayBuffer(train_cfg.buffer_capacity)
     world = World(world_cfg, rngs["spawn"], rngs["trigger"])
@@ -231,13 +235,13 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
                     f"stage: pretrain_steps {train_cfg.pretrain_steps} ended before "
                     f"the replay buffer held a batch of {train_cfg.batch_size}, so "
                     f"no pretrain step ran", RuntimeWarning, stacklevel=2)
-            last_loss = train_step(params, target_params, batch, block,
+            last_loss = train_step(params, target_v, batch, block,
                                    opt_states, train_cfg.learning_rate,
                                    train_cfg.gamma)
         if step % train_cfg.loss_log_every == 0:
             loss_rows.append((step, last_loss))
         if step % train_cfg.target_sync_every == 0:
-            target_params = params.copy()
+            target_v.flat[:] = params.v_net.flat
         if step in schedule and checkpoint_hook is not None:
             checkpoint_hook(step, params)
 

@@ -374,19 +374,17 @@ class World:
         for veh in self.vehicles:
             if veh.pending_target is None or veh.maneuver != "keeping":
                 continue
-            target = veh.pending_target
-            assessment = gap_acceptable(
-                veh.v,
-                veh.idm,
-                self._leader(lane_lists, target, veh.station),
-                self._follower(lane_lists, target, veh.station, veh.id),
-            )
-            if assessment.acceptable:
+            if self._gap_test(lane_lists, veh, veh.pending_target).acceptable:
                 veh.maneuver = "changing"
-                veh.target_lane = target
+                veh.target_lane = veh.pending_target
                 veh.pending_target = None
                 veh.episode = EpisodeMetrics(vehicle_id=veh.id,
                                              start_step=self.step_count)
+
+    def _gap_test(self, lane_lists, veh: VehicleState, lane: int):
+        """The gap assessment of `veh` moving into `lane`."""
+        return gap_acceptable(veh.v, veh.idm, self._leader(lane_lists, lane, veh.station),
+                              self._follower(lane_lists, lane, veh.station, veh.id))
 
     def _longitudinal(self, lane_lists, veh: VehicleState, faults: list[str]) -> float:
         p = veh.idm
@@ -474,12 +472,7 @@ class World:
         episodes: list[EpisodeMetrics] = []
         for (veh, _a_lng), s, a_yaw in zip(changers, rl_states, a_yaws):
             if veh.maneuver == "changing":
-                assessment = gap_acceptable(
-                    veh.v,
-                    veh.idm,
-                    self._leader(post_lists, veh.target_lane, veh.station),
-                    self._follower(post_lists, veh.target_lane, veh.station, veh.id),
-                )
+                assessment = self._gap_test(post_lists, veh, veh.target_lane)
                 decision = monitor_step(veh.d, veh.lane, veh.target_lane,
                                         cfg.road.lane_width, assessment)
                 if decision is MonitorDecision.ABORT:

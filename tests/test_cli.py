@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nafdrive import learner
+from nafdrive import cli, learner
 from nafdrive.cli import (CHECKPOINT_VERSION, checkgrad_suite, cmd_checkgrad,
                           config_digest, default_config_dict, load_checkpoint,
                           load_config, main, parse_config, save_checkpoint)
@@ -301,20 +301,30 @@ def test_negative_seed_and_nonpositive_episodes_rejected(argv, config_seed, trai
     ["trace", "--out", "{missing}/trace.csv"],
     ["train", "--out", "{file}"],
     ["train", "--out", "{file}/sub"],
+    ["eval", "--episodes", "1", "--out", "{dir}"],
+    ["trace", "--out", "{dir}"],
 ])
 def test_every_command_reports_a_refused_argument_on_one_line(argv, trained_run, tmp_path,
-                                                              capsys):
+                                                              capsys, monkeypatch):
+    def rollout(*args):
+        raise AssertionError("rolled out before the arguments were checked")
+
+    monkeypatch.setattr(cli, "run_eval_episodes", rollout)
+    monkeypatch.setattr(cli, "run_trace", rollout)
     cfg_path, run = trained_run
     file = tmp_path / "file"
     file.write_text("")
-    argv = [arg.format(missing=tmp_path / "missing", file=file) for arg in argv]
+    given = [arg.format(missing=tmp_path / "missing", file=file, dir=tmp_path)
+             for arg in argv]
     if argv[0] in ("eval", "trace"):
-        argv += ["--checkpoint", os.path.join(run, "checkpoint_00000600.json")]
+        given += ["--checkpoint", os.path.join(run, "checkpoint_00000600.json")]
     if argv[0] != "checkgrad":
-        argv += ["--config", cfg_path]
-    assert main(argv) == 2
+        given += ["--config", cfg_path]
+    assert main(given) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    if argv[0] in ("eval", "trace"):  # named as given, not by a temporary file
+        assert given[argv.index("--out") + 1] in err[0] and ".tmp-" not in err[0], err
 
 
 @pytest.mark.parametrize("section, field, value", [

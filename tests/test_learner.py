@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nafdrive import nafq
+from nafdrive import learner, nafq
 from nafdrive.errors import ConfigurationError, ContractError, NumericalError
 from nafdrive.learner import (ReplayBuffer, TrainConfig, explore_actions, make_rngs,
                               opt_states_init, run_training, sigma_at, td_targets,
@@ -48,10 +48,10 @@ def terminal_batch(*rewards):
     return stack([(np.zeros(6), 0.0, np.zeros(6), r, True) for r in rewards])
 
 
-def fit_loss(batch, params, target_params, gamma=0.95):
+def fit_loss(batch, params, target_v, gamma=0.95):
     """The loss and gradient `train_step` takes on `batch`."""
     states, actions, next_states, rewards, nonterminal = batch
-    targets = td_targets(next_states, rewards, nonterminal, target_params, gamma)
+    targets = td_targets(next_states, rewards, nonterminal, target_v, gamma)
     return fit_gradients(states, actions, targets, params)
 
 
@@ -152,7 +152,7 @@ def test_train_step_on_ring_sample_matches_stacked_states():
     # stacked by hand from RlState objects
     rng = np.random.default_rng(12)
     params = NafParams.init(rng, hidden=(8,))
-    target = params.copy()
+    target = params.copy().v_net
     items = [random_transition(rng) for _ in range(40)]
     buf = ReplayBuffer(32)
     for tr in items:
@@ -181,27 +181,27 @@ def test_train_step_on_ring_sample_matches_stacked_states():
 
 def test_td_target_terminal_is_reward():
     _, _, next_states, rewards, nonterminal = terminal_batch(-0.5)
-    targets = td_targets(next_states, rewards, nonterminal, const_params(-2.0), 0.95)
+    targets = td_targets(next_states, rewards, nonterminal, const_params(-2.0).v_net, 0.95)
     assert targets[0] == -0.5
 
 
 def test_td_target_zero_gamma_is_reward():
     targets = td_targets(np.zeros((1, 6)), np.array([-0.7]), np.ones(1),
-                         const_params(-2.0), 0.0)
+                         const_params(-2.0).v_net, 0.0)
     assert targets[0] == -0.7
 
 
 def test_td_target_hand_case():
     # r = -0.5, gamma = 0.95, V(s') = -2  ->  -2.4
     targets = td_targets(np.zeros((1, 6)), np.array([-0.5]), np.ones(1),
-                         const_params(-2.0), 0.95)
+                         const_params(-2.0).v_net, 0.95)
     assert targets[0] == pytest.approx(-2.4, abs=1e-12)
 
 
 def test_batch_loss_zero_when_predictions_match():
     # zero-feature states give Q(s, 0) = V = 0; terminal targets r = 0
     params = const_params(0.0)
-    loss, grad = fit_loss(terminal_batch(0.0), params, params)
+    loss, grad = fit_loss(terminal_batch(0.0), params, params.v_net)
     assert loss == 0.0 and np.all(grad == 0.0)
 
 
@@ -209,13 +209,13 @@ def test_batch_loss_hand_case():
     # Q = 0 everywhere (a = 0, V = 0); terminal rewards 1 and 3 give
     # errors 1 and 3 -> loss (1 + 9)/2 = 5
     params = const_params(0.0)
-    loss, _ = fit_loss(terminal_batch(1.0, 3.0), params, params)
+    loss, _ = fit_loss(terminal_batch(1.0, 3.0), params, params.v_net)
     assert loss == pytest.approx(5.0, abs=1e-12)
 
 
 def test_batch_loss_single_item_square():
     params = const_params(0.0)
-    loss, _ = fit_loss(terminal_batch(-0.3), params, params)
+    loss, _ = fit_loss(terminal_batch(-0.3), params, params.v_net)
     assert loss == pytest.approx(0.09, abs=1e-15)
 
 
@@ -268,7 +268,7 @@ def test_explore_clipped_to_cap():
 def _params_and_batch(seed=0, n=16):
     rng = np.random.default_rng(seed)
     params = NafParams.init(rng, hidden=(8,))
-    target = params.copy()
+    target = params.copy().v_net
     batch = stack([random_transition(rng) for _ in range(n)])
     return params, target, batch
 
@@ -283,7 +283,7 @@ def test_pretrain_freezes_greedy_heads():
     assert np.array_equal(params.flat[head], frozen)
     assert np.all(opt.m[head] == 0.0) and opt.t == {NafParams.HEAD: 0, NafParams.Q: 5}
     # the value heads did move
-    assert not np.array_equal(params.v_net.biases[-1], target.v_net.biases[-1])
+    assert not np.array_equal(params.v_net.biases[-1], target.biases[-1])
 
 
 def test_head_adam_step_count_starts_at_joint_stage():
@@ -403,11 +403,12 @@ def test_copy_stacks_read_the_copy():
         assert np.shares_memory(target.stacks[block].flat, target.flat)
         assert not np.shares_memory(target.stacks[block].flat, params.flat)
     target_mu = greedy_actions_batch(states, target)
-    targets = td_targets(next_states, rewards, nonterminal, target, 0.95)
-    train_step(params, target, batch, NafParams.ALL, opt_states_init(params), 0.01, 0.95)
+    targets = td_targets(next_states, rewards, nonterminal, target.v_net, 0.95)
+    train_step(params, target.v_net, batch, NafParams.ALL, opt_states_init(params),
+               0.01, 0.95)
     assert np.array_equal(greedy_actions_batch(states, target), target_mu)
-    assert np.array_equal(td_targets(next_states, rewards, nonterminal, target, 0.95),
-                          targets)
+    assert np.array_equal(
+        td_targets(next_states, rewards, nonterminal, target.v_net, 0.95), targets)
     assert not np.array_equal(greedy_actions_batch(states, params), online_mu)
 
 
@@ -470,6 +471,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ConfigurationError):
         TrainConfig(sigma_start=0.01, sigma_end=0.1).validate()
+    with pytest.raises(ConfigurationError, match="step 40000 "):
+        TrainConfig(total_steps=400).validate()  # the published schedule
+    with pytest.raises(ConfigurationError, match="step 0 "):
+        TrainConfig(total_steps=400, checkpoint_schedule=[400, 0]).validate()
     TrainConfig().validate()  # published defaults are valid
 
 
@@ -537,6 +542,32 @@ def test_run_training_rewards_nonpositive():
     for ep in result.episode_rows:
         assert ep.R_acce <= 0 and ep.R_rate <= 0 and ep.R_dev <= 0
         assert ep.R == ep.R_acce + ep.R_rate + ep.R_dev
+
+
+def test_run_training_syncs_one_target_value_net_in_place(monkeypatch):
+    # the target is one value net of the run's own, which each sync
+    # overwrites with the online value net and gradient steps then leave
+    targets = []
+    train_step = learner.train_step
+
+    def noted_train_step(params, target_v, *args):
+        if not targets:
+            targets.append(target_v)
+        assert target_v is targets[0]
+        return train_step(params, target_v, *args)
+
+    monkeypatch.setattr(learner, "train_step", noted_train_step)
+    seen = []
+
+    def hook(step, params):
+        target_v = targets[0]
+        assert not np.shares_memory(target_v.flat, params.flat)
+        seen.append((step, target_v.flat.tobytes() == params.v_net.flat.tobytes()))
+
+    # syncs every 100 steps; step 950 is 50 gradient steps after one
+    run_trained(small_train_cfg(checkpoint_schedule=[500, 950, 1000]),
+                checkpoint_hook=hook)
+    assert seen == [(500, True), (950, False), (1000, True)]
 
 
 def test_pretrain_ending_before_the_first_gradient_step_warns():
