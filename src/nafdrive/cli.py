@@ -35,7 +35,6 @@ from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 CHECKPOINT_VERSION = 3
 EVAL_MAX_STEPS = 500_000  # ticks an evaluation runs before it gives up
 TRACE_MAX_STEPS = 100_000  # ticks a trace runs before it gives up
-CHECKGRAD_H = 1e-4  # the finite-difference step of the gradient checks
 CHECKGRAD_THRESHOLD = 1e-4  # the relative error at which a gradient check fails
 
 
@@ -157,7 +156,7 @@ def parse_config(data: dict) -> RunConfig:
     world = WorldConfig(road=RoadSpec(**road),
                         traffic=TrafficConfig(**sec["traffic"]),
                         rewards=RewardWeights(**sec["reward"]),
-                        idm=IdmParams(**sec["idm"]), **sec["sim"])
+                        idm=IdmParams(**sec["idm"]), **sec["sim"]).validate()
     return RunConfig(seed=data["seed"],
                      train=TrainConfig(seed=data["seed"], **sec["train"]).validate(),
                      world=world, naf_constants=sec["naf"], raw=data)
@@ -427,7 +426,7 @@ def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
     y, cache = net_forward(net, x)
     net_grad = net_backward(net, cache, np.ones_like(y))
     net_err = finite_diff_check(lambda: float(np.sum(net_forward(net, x)[0])),
-                                net.flat, net_grad, CHECKGRAD_H)
+                                net.flat, net_grad)
 
     params = NafParams.init(rng, hidden=(8,))
     state_arr = rng.normal(size=6)
@@ -438,7 +437,7 @@ def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
     if inject_fault:
         grad[params.span(NafParams.Q).start] *= 1.10  # first weight of m_net
     q_err = finite_diff_check(lambda: q_values_batch([state], [a_yaw], params)[0][0],
-                              params.flat, grad, CHECKGRAD_H)
+                              params.flat, grad)
 
     # loss gradients on a small random batch
     target_v = NafParams.init(rng, hidden=(8,)).v_net
@@ -455,7 +454,7 @@ def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
     _, loss_grad = fit_gradients(states, actions, targets, params)
     loss_err = finite_diff_check(
         lambda: fit_gradients(states, actions, targets, params)[0],
-        params.flat, loss_grad, CHECKGRAD_H)
+        params.flat, loss_grad)
 
     return {"net": net_err, "q_value": q_err, "batch_loss": loss_err}
 

@@ -90,6 +90,11 @@ class NafParams:
                                       len(block))
                        for block in (self.HEAD, self.Q, self.ALL)}
 
+    def __reduce__(self):
+        # rebuilt from the vector, as in `copy`, so a copy's nets view its vector
+        return type(self), (self.layer_dims, self.flat, self.a_cap, self.t_min,
+                            self.t_max, self.m_eps)
+
     def nets(self):
         return {name: getattr(self, name) for name in self.NET_NAMES}
 
@@ -103,7 +108,7 @@ class NafParams:
 
     @classmethod
     def init(cls, seed, hidden=DEFAULT_HIDDEN, **constants) -> "NafParams":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         params = cls([STATE_DIM, *hidden, 1], **constants)
         for net in params.nets().values():
             net_init(net.layer_dims, rng, net.flat)

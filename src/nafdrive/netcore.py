@@ -25,6 +25,7 @@ from .errors import ConfigurationError, ContractError, NumericalError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+FD_STEP = 1e-4  # the central-difference step of finite_diff_check
 
 
 def param_count(layer_dims) -> int:
@@ -72,6 +73,10 @@ class Network:
         self.weights, self.biases = _layer_views(self.flat, dims, self.count)
         self.affine = [(w.mT, b[:, None]) for w, b in zip(self.weights, self.biases)]
 
+    def __reduce__(self):
+        # rebuilt from the vector, so a copy's views are views of the copy's vector
+        return type(self), (self.layer_dims, self.flat, self.count)
+
 
 @dataclass
 class OptState:
@@ -87,14 +92,14 @@ class OptState:
 def net_init(layer_dims, seed, flat=None) -> Network:
     """Build a network with uniform fan-scaled weights and zero biases.
 
-    `seed` may be an int or an existing numpy Generator (the latter lets a
-    caller initialize several networks from one stream).  The parameters
-    are written to `flat` when it is given, else to a new vector.
+    `seed` is what np.random.default_rng takes, which uses a Generator as
+    it is, so a caller can initialize several networks from one stream.
+    The parameters are written to `flat` when given, else to a new vector.
     """
     dims = list(layer_dims)
     if len(dims) < 2 or any((not isinstance(d, (int, np.integer))) or d < 1 for d in dims):
         raise ConfigurationError(f"invalid layer dims: {layer_dims!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     net = Network(dims, np.zeros(param_count(dims)) if flat is None else flat)
     for w, b, fan_in, fan_out in zip(net.weights, net.biases, dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -163,21 +168,19 @@ def net_backward(net: Network, cache, upstream, out=None):
     return out
 
 
-def finite_diff_check(objective, theta: np.ndarray, analytic, h: float = 1e-4) -> float:
-    """Max relative error between `analytic` and central differences of the
-    scalar `objective()` with respect to each entry of the flat vector
-    `theta`, which is perturbed in place and restored."""
-    if h <= 0:
-        raise ConfigurationError("h must be positive")
+def finite_diff_check(objective, theta: np.ndarray, analytic) -> float:
+    """Max relative error between `analytic` and central differences, of
+    step FD_STEP, of the scalar `objective()` with respect to each entry of
+    the flat vector `theta`, which is perturbed in place and restored."""
     max_err = 0.0
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + h
+        theta[i] = orig + FD_STEP
         f_plus = objective()
-        theta[i] = orig - h
+        theta[i] = orig - FD_STEP
         f_minus = objective()
         theta[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
+        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
         err = abs(analytic[i] - numeric) / max(abs(numeric), 1e-8)
         max_err = max(max_err, err)
     return max_err

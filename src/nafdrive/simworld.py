@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .errors import ContractError, NumericalError, SimulationFault
+from .errors import ConfigurationError, ContractError, NumericalError, SimulationFault
 from .gapcheck import MonitorDecision, gap_acceptable, monitor_step
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
 from .nafq import RlState
@@ -123,6 +123,18 @@ class WorldConfig:
     sensing_range: float = 150.0
     lane_changes_enabled: bool = True
     strict: bool = False
+
+    def validate(self):
+        # at zero or below, each fails a run midway (a division or a square
+        # root) or leaves no road
+        for name, value in (("road.lanes", self.road.lanes),
+                            ("road.lane_width", self.road.lane_width),
+                            ("idm.a_m", self.idm.a_m), ("idm.b", self.idm.b),
+                            ("reward.d_avg", self.rewards.d_avg)):
+            if value <= 0:
+                raise ConfigurationError(f"config field {name} must be positive, "
+                                         f"not {value!r}")
+        return self
 
 
 @dataclass
@@ -355,32 +367,6 @@ class World:
                 tc.depart_min, tc.depart_max
             )
 
-    def _trigger(self):
-        if not self.cfg.lane_changes_enabled:
-            return
-        tc = self.cfg.traffic
-        middle = self.cfg.road.lanes // 2
-        for veh in self.vehicles:
-            if (veh.maneuver == "keeping" and veh.lane == middle
-                    and not veh.trigger_drawn and veh.station >= tc.trigger_station):
-                veh.trigger_drawn = True
-                u = self.rng_trigger.uniform()
-                if u < tc.change_prob_left and veh.lane + 1 < self.cfg.road.lanes:
-                    veh.pending_target = veh.lane + 1
-                elif u < tc.change_prob_left + tc.change_prob_right and veh.lane > 0:
-                    veh.pending_target = veh.lane - 1
-
-    def _initiate_pending(self, lane_lists):
-        for veh in self.vehicles:
-            if veh.pending_target is None or veh.maneuver != "keeping":
-                continue
-            if self._gap_test(lane_lists, veh, veh.pending_target).acceptable:
-                veh.maneuver = "changing"
-                veh.target_lane = veh.pending_target
-                veh.pending_target = None
-                veh.episode = EpisodeMetrics(vehicle_id=veh.id,
-                                             start_step=self.step_count)
-
     def _gap_test(self, lane_lists, veh: VehicleState, lane: int):
         """The gap assessment of `veh` moving into `lane`."""
         return gap_acceptable(veh.v, veh.idm, self._leader(lane_lists, lane, veh.station),
@@ -411,18 +397,19 @@ class World:
 
         `policy` maps a list of RlStates (one per maneuvering vehicle, in
         vehicle order) to as many yaw accelerations, so a network-backed
-        policy can evaluate them in one batch.  All accelerations are
-        computed from the pre-step snapshot, then all vehicles are
-        integrated, then monitors/completions/rewards run on the post-step
-        state, so the result is independent of vehicle order.
+        policy can evaluate them in one batch.  One pass over the vehicles
+        makes every pre-step decision from the pre-step snapshot: a keeper's
+        trigger draw, the start of its lane change and each vehicle's
+        longitudinal acceleration.  Then all vehicles are integrated, then
+        monitors/completions/rewards run on the post-step state, so the
+        result is independent of vehicle order.
         """
         cfg = self.cfg
         faults: list[str] = []
 
         self._spawn()
-        self._trigger()
-        # occupancy depends only on d, which _initiate_pending leaves alone,
-        # so this one index serves both it and the longitudinal decisions
+        # occupancy depends only on d, which no pre-step decision changes,
+        # so this one index serves the gap tests and the longitudinal ones
         lane_lists = self._lane_lists()
         # one walk from each lane's front gives every vehicle its leader;
         # vehicles tied at a station share the one past them, as in `_leader`
@@ -433,13 +420,33 @@ class World:
                     lead = ahead
                 veh.lead = lead
                 ahead = veh
-        self._initiate_pending(lane_lists)
 
-        # pre-step decisions from a shared snapshot, before any vehicle moves
+        # pre-step decisions from a shared snapshot, before any vehicle moves:
+        # a draw or a start reads only its own vehicle, the trigger stream and
+        # stations, speeds and ids, which no decision changes
+        changes = cfg.lane_changes_enabled  # no draws, so no pending targets
+        tc = cfg.traffic
+        middle = cfg.road.lanes // 2
         keepers = []  # (veh, a_lng)
         changers = []  # (veh, a_lng), aligned with rl_states
         rl_states: list[RlState] = []
         for veh in self.vehicles:
+            if changes and veh.maneuver == "keeping":
+                if (veh.lane == middle and not veh.trigger_drawn
+                        and veh.station >= tc.trigger_station):
+                    veh.trigger_drawn = True
+                    u = self.rng_trigger.uniform()
+                    if u < tc.change_prob_left and veh.lane + 1 < cfg.road.lanes:
+                        veh.pending_target = veh.lane + 1
+                    elif u < tc.change_prob_left + tc.change_prob_right and veh.lane > 0:
+                        veh.pending_target = veh.lane - 1
+                if (veh.pending_target is not None
+                        and self._gap_test(lane_lists, veh, veh.pending_target).acceptable):
+                    veh.maneuver = "changing"
+                    veh.target_lane = veh.pending_target
+                    veh.pending_target = None
+                    veh.episode = EpisodeMetrics(vehicle_id=veh.id,
+                                                 start_step=self.step_count)
             a_lng = self._longitudinal(lane_lists, veh, faults)
             if veh.maneuver == "keeping":
                 keepers.append((veh, a_lng))

@@ -174,8 +174,8 @@ def desk_runs():
     """Three desk-scale training runs with first/last checkpoints kept.
 
     Each run is a pure function of its config and seed, so the three run
-    side by side in worker processes.  A worker returns flat vectors, not
-    NafParams: unpickling a NafParams detaches its nets from `flat`.
+    side by side in worker processes.  A worker returns flat vectors, from
+    which the NafParams are rebuilt here.
     """
     workers = min(3, os.cpu_count() or 1)
     # a warning fails a run here as conftest.py makes it fail a test

@@ -380,6 +380,28 @@ def test_non_finite_float_rejected(section, field, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("road", "lanes", 0),
+    ("road", "lane_width", 0.0),
+    ("idm", "a_m", 0.0),
+    ("idm", "b", 0.0),
+    ("idm", "b", -1.0),
+    ("reward", "d_avg", 0.0),
+])
+def test_physics_that_would_fail_midway_rejected(section, field, value, tmp_path, capsys):
+    # each would divide by zero, fail a square root or run an empty road
+    data = desk_config()
+    data[section][field] = value
+    msg = f"config field {section}.{field} must be positive, not {value!r}"
+    with pytest.raises(ConfigurationError, match=re.escape(msg)):
+        parse_config(data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("profile", [[[0, 0.001], [500, 0.002], [200, -0.001]],
                                      [[0, 0.001], [0, 0.002]]])
 def test_unsorted_curvature_profile_rejected(profile, tmp_path, capsys):

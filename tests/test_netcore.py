@@ -1,5 +1,8 @@
 """Dense-network core: init, forward, backward, finite differences, Adam."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,23 @@ def test_views_share_the_flat_vector():
     assert net.flat[12] == -1.0
     with pytest.raises(ContractError):
         Network([2, 3, 1], np.zeros(12))
+
+
+@pytest.mark.parametrize("duplicate", [lambda n: pickle.loads(pickle.dumps(n)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_network_survives_pickle_and_deepcopy(duplicate):
+    net = net_init([3, 4, 1], seed=0)
+    x = np.random.default_rng(1).normal(size=(5, 3))
+    dup = duplicate(net)
+    assert dup.layer_dims == [3, 4, 1] and dup.count == 1
+    assert np.array_equal(net_forward(dup, x)[0], net_forward(net, x)[0])
+    before = net.flat.copy()
+    dup.flat += 1.0  # reaches the copy's weights and biases, not the original
+    for view in (*dup.weights, *dup.biases):
+        assert np.shares_memory(view, dup.flat)
+    assert np.array_equal(net_forward(dup, x)[0],
+                          net_forward(Network([3, 4, 1], before + 1.0), x)[0])
+    assert np.array_equal(net.flat, before)
 
 
 def test_init_param_count():

@@ -210,25 +210,40 @@ def test_trigger_never_before_station():
     world = make_world(no_spawns=True)
     veh = make_vehicle(world, lane=1, station=100.0)
     for _ in range(3):
-        world._trigger()
+        world.step(zero_policy, DT)
+    assert veh.station < world.cfg.traffic.trigger_station
     assert veh.pending_target is None and not veh.trigger_drawn
 
 
 def test_trigger_never_off_middle_lane():
     world = make_world(no_spawns=True)
     veh = make_vehicle(world, lane=0, station=500.0)
-    world._trigger()
-    assert veh.pending_target is None
+    world.step(zero_policy, DT)
+    assert veh.pending_target is None and veh.maneuver == "keeping"
 
 
 def test_trigger_fraction_near_one_third():
     world = make_world(no_spawns=True, seed=7)
     n = 10_000
-    for _ in range(n):
-        make_vehicle(world, lane=1, station=200.0)
-    world._trigger()
-    frac = sum(v.pending_target is not None for v in world.vehicles) / n
+    vehicles = [make_vehicle(world, lane=1, station=200.0) for _ in range(n)]
+    world.step(zero_policy, DT)
+    # a draw that picks a side starts the change in the same tick when the
+    # target lane is clear, as both outer lanes are here
+    frac = sum(v.pending_target is not None or v.maneuver != "keeping"
+               for v in vehicles) / n
+    assert all(v.trigger_drawn for v in vehicles)
     assert 0.31 <= frac <= 0.36
+
+
+def test_drawn_change_into_a_clear_lane_steps_in_the_tick_of_its_draw():
+    cfg = WorldConfig(traffic=TrafficConfig(change_prob_left=1.0, change_prob_right=0.0))
+    world = make_world(cfg, no_spawns=True)
+    veh = make_vehicle(world, lane=1, station=200.0)
+    result = world.step(zero_policy, DT)
+    assert veh.trigger_drawn and veh.pending_target is None
+    assert veh.maneuver == "changing" and veh.target_lane == 2
+    assert [t.vehicle_id for t in result.transitions] == [veh.id]
+    assert veh.episode.start_step == 0
 
 
 def test_keeper_invariance():
