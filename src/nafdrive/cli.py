@@ -413,7 +413,7 @@ def cmd_trace(checkpoint_path: str, config_path: str, seed: int, out_path: str,
 # -- gradient verification harness
 
 
-def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
+def checkgrad_suite(seed: int) -> dict:
     """Finite-difference sweeps for net, Q, and loss gradients.
 
     Small hidden layers keep the parameter sweep fast; the gradient code
@@ -434,8 +434,6 @@ def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
     state = RlState(*state_arr)
     a_yaw = float(rng.uniform(-0.5, 0.5))
     grad, _ = q_gradients_batch([state], [a_yaw], [1.0], params)
-    if inject_fault:
-        grad[params.span(NafParams.Q).start] *= 1.10  # first weight of m_net
     q_err = finite_diff_check(lambda: q_values_batch([state], [a_yaw], params)[0][0],
                               params.flat, grad)
 
@@ -459,9 +457,9 @@ def checkgrad_suite(seed: int, inject_fault: bool = False) -> dict:
     return {"net": net_err, "q_value": q_err, "batch_loss": loss_err}
 
 
-def cmd_checkgrad(seed: int, inject_fault: bool = False) -> int:
+def cmd_checkgrad(seed: int) -> int:
     _check_seed(seed)
-    errors = checkgrad_suite(seed, inject_fault=inject_fault)
+    errors = checkgrad_suite(seed)
     bad = []
     for name, err in errors.items():
         print(f"{name}: max relative error {err:.3e}")
@@ -505,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("checkgrad", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", action="store_true")
     return parser
 
 
@@ -521,7 +518,7 @@ def main(argv=None) -> int:
             return cmd_trace(args.checkpoint, args.config, args.seed, args.out,
                              args.force)
         if args.command == "checkgrad":
-            return cmd_checkgrad(args.seed, args.inject_fault)
+            return cmd_checkgrad(args.seed)
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

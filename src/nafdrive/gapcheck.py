@@ -24,10 +24,6 @@ class MonitorDecision(Enum):
 
 @dataclass
 class GapAssessment:
-    lead_gap: float
-    follow_gap: float
-    lead_required: float
-    follow_required: float
     acceptable: bool
 
 
@@ -47,26 +43,17 @@ def gap_acceptable(
 
     target_leader / target_follower are (gap, speed) tuples; an absent
     neighbor satisfies its side automatically.  A non-positive gap is
-    immediately unacceptable.
+    immediately unacceptable, and the first side that fails decides.
     """
-    big = float("inf")
-    if target_leader is None:
-        lead_gap, lead_required = big, 0.0
-    else:
+    if target_leader is not None:
         lead_gap, v_lead = target_leader
-        lead_required = required_gap(v_ego, v_lead, p)
-    if target_follower is None:
-        follow_gap, follow_required = big, 0.0
-    else:
+        if not (lead_gap > 0 and lead_gap >= required_gap(v_ego, v_lead, p)):
+            return GapAssessment(False)
+    if target_follower is not None:
         follow_gap, v_follow = target_follower
-        follow_required = required_gap(v_follow, v_ego, p)
-    ok = (
-        lead_gap > 0
-        and follow_gap > 0
-        and lead_gap >= lead_required
-        and follow_gap >= follow_required
-    )
-    return GapAssessment(lead_gap, follow_gap, lead_required, follow_required, ok)
+        if not (follow_gap > 0 and follow_gap >= required_gap(v_follow, v_ego, p)):
+            return GapAssessment(False)
+    return GapAssessment(True)
 
 
 def past_commit_point(d: float, original_lane: int, target_lane: int, lane_width: float) -> bool:

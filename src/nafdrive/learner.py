@@ -202,6 +202,7 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
     rows logged before a fault.
     """
     train_cfg.validate()
+    world_cfg.validate()
     rngs = make_rngs(train_cfg.seed)
     params = NafParams.init(rngs["init"], **(naf_constants or {}))
     target_v = Network(params.layer_dims, params.v_net.flat.copy())

@@ -88,7 +88,6 @@ class VehicleState:
     lane: int
     target_lane: int
     maneuver: str  # keeping | changing | aborting
-    length: float = 5.0
     # simulator bookkeeping
     pending_target: int | None = None
     idm: IdmParams | None = None  # the world's IDM params with this vehicle's v0
@@ -127,13 +126,21 @@ class WorldConfig:
     def validate(self):
         # at zero or below, each fails a run midway (a division or a square
         # root) or leaves no road
+        tc = self.traffic
         for name, value in (("road.lanes", self.road.lanes),
                             ("road.lane_width", self.road.lane_width),
                             ("idm.a_m", self.idm.a_m), ("idm.b", self.idm.b),
-                            ("reward.d_avg", self.rewards.d_avg)):
+                            ("reward.d_avg", self.rewards.d_avg),
+                            ("traffic.desired_speed_min", tc.desired_speed_min)):
             if value <= 0:
                 raise ConfigurationError(f"config field {name} must be positive, "
                                          f"not {value!r}")
+        # a reversed range fails the first draw from it, midway through a run
+        for name in ("depart", "init_speed", "desired_speed"):
+            low, high = getattr(tc, f"{name}_min"), getattr(tc, f"{name}_max")
+            if low > high:
+                raise ConfigurationError(f"config field traffic.{name}_min must not exceed "
+                                         f"traffic.{name}_max, not {low!r} > {high!r}")
         return self
 
 
@@ -236,6 +243,7 @@ CLOSES = {
     "exited": (False, False),
 }
 
+VEHICLE_LENGTH = 5.0  # m, of every vehicle; a gap is a station difference less one length
 _STATION = attrgetter("station")
 
 
@@ -311,7 +319,7 @@ class World:
         if i == len(lst):
             return None
         best = lst[i]
-        gap = best.station - station - best.length
+        gap = best.station - station - VEHICLE_LENGTH
         if gap > self.cfg.sensing_range:
             return None
         return (gap, best.v)
@@ -336,7 +344,7 @@ class World:
         if i == 0:
             return None
         best = lst[i - 1]
-        gap = station - best.station - best.length
+        gap = station - best.station - VEHICLE_LENGTH
         if gap > self.cfg.sensing_range:
             return None
         return (gap, best.v)
@@ -377,7 +385,7 @@ class World:
         lead = veh.lead  # as `_leader(lane_lists, veh.occupancy, veh.station)` finds it
         own_leader = None
         if lead is not None:
-            gap = lead.station - veh.station - lead.length
+            gap = lead.station - veh.station - VEHICLE_LENGTH
             own_leader = None if gap > self.cfg.sensing_range else (gap, lead.v)
         try:
             if veh.maneuver == "keeping":
@@ -521,7 +529,7 @@ class World:
         min_gap = math.inf
         for lst in post_lists:
             for rear, front in zip(lst, lst[1:]):
-                gap = front.station - rear.station - front.length
+                gap = front.station - rear.station - VEHICLE_LENGTH
                 if gap < min_gap:  # min(min_gap, gap)
                     min_gap = gap
                 if gap <= 0:

@@ -2,9 +2,11 @@
 
 `perfbench/tracing.py` replaces the attributes in its `TARGETS` with timing
 wrappers, `perfbench/test_perfbench.py` replaces `World._longitudinal`
-with a function of the same arguments, and `perfbench/setup_probe.py`
-initialises, copies and checkpoints a `NafParams`.  Those tests are not in
-this suite, so a rename would otherwise surface only when the benchmark runs.
+with a function of the same arguments, `perfbench/setup_probe.py`
+initialises, copies and checkpoints a `NafParams`, and each workload in
+`perfbench/workloads.py` builds its config (and eval's checkpoint) in its
+constructor.  Those tests are not in this suite, so a rename would otherwise
+surface only when the benchmark runs.
 """
 
 import importlib.util
@@ -41,3 +43,20 @@ def test_setup_probe_runs(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0
+
+
+def test_every_workload_builds(tmp_path):
+    # EvalGreedy's constructor checkpoints through the seven-argument
+    # `cli.save_checkpoint`, so this also guards that signature
+    code = ("import os, sys, workloads\n"
+            "for name, workload in workloads.WORKLOADS.items():\n"
+            "    os.mkdir(os.path.join(sys.argv[1], name))\n"
+            "    workload(os.path.join(sys.argv[1], name), 0, smoke=True)\n"
+            "    print(name)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(
+        None, [str(PERFBENCH), str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["train-default", "eval-greedy", "traffic-dense"]
+    assert (tmp_path / "eval-greedy" / "init-checkpoint.json").is_file()

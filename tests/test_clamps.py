@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from nafdrive.errors import ContractError, NumericalError
-from nafdrive.gapcheck import required_gap
+from nafdrive.gapcheck import gap_acceptable, required_gap
 from nafdrive.longitudinal import (IdmParams, dual_leader_accel,
                                    free_leader_accel, idm_accel)
-from nafdrive.simworld import (RoadSpec, VehicleState, World, WorldConfig,
-                               step_kinematics)
+from nafdrive.simworld import (VEHICLE_LENGTH, RoadSpec, VehicleState, World,
+                               WorldConfig, step_kinematics)
 
 NAN, INF = math.nan, math.inf
 EDGES = [NAN, INF, -INF, 0.0, -0.0]
@@ -76,6 +76,23 @@ def _ref_dual_leader_accel(v, p, ego_lane_leader, target_lane_leader):
 def _ref_required_gap(v_rear, v_front, p):
     dynamic = v_rear * p.T + v_rear * (v_rear - v_front) / (2.0 * math.sqrt(p.a_m * p.b))
     return p.s0 + max(0.0, dynamic)
+
+
+def _ref_gap_acceptable(v_ego, p, target_leader, target_follower):
+    """Both sides' gaps and required gaps, then one four-way conjunction."""
+    big = float("inf")
+    if target_leader is None:
+        lead_gap, lead_required = big, 0.0
+    else:
+        lead_gap, v_lead = target_leader
+        lead_required = required_gap(v_ego, v_lead, p)
+    if target_follower is None:
+        follow_gap, follow_required = big, 0.0
+    else:
+        follow_gap, v_follow = target_follower
+        follow_required = required_gap(v_follow, v_ego, p)
+    return (lead_gap > 0 and follow_gap > 0 and lead_gap >= lead_required
+            and follow_gap >= follow_required)
 
 
 def _ref_step_kinematics(state, a_lng_cmd, a_yaw_cmd, dt, c):
@@ -138,6 +155,26 @@ def test_required_gap_equals_builtin_max():
                 assert (outcome(required_gap, v_rear, v_front, p)
                         == outcome(_ref_required_gap, v_rear, v_front, p)), \
                     (v_rear, v_front, p)
+
+
+def test_gap_acceptable_equals_four_way_conjunction():
+    # gap_acceptable stops at the first side that fails.  Where required_gap
+    # raises (a_m * b == 0, which WorldConfig.validate refuses), it then
+    # raises only if no earlier test failed, so those sets are left out.
+    params = [p for p in PARAMS if not p.a_m * p.b == 0]
+    assert len(params) == len(PARAMS) - 1
+    # 5.0 is the required gap wherever the dynamic term clamps to zero
+    sides = [None] + [(gap, v) for gap in EDGES + [2.5, 5.0, 30.0] for v in SPEEDS]
+    accepted = 0
+    for p in params:
+        for v in SPEEDS:
+            for lead in sides:
+                for follow in sides:
+                    got = gap_acceptable(v, p, lead, follow).acceptable
+                    assert got is bool(_ref_gap_acceptable(v, p, lead, follow)), \
+                        (v, p, lead, follow)
+                    accepted += got
+    assert 0 < accepted < len(params) * len(SPEEDS) * len(sides) ** 2
 
 
 def test_step_kinematics_equals_builtin_speed_floor():
@@ -215,7 +252,7 @@ def _ref_min_gap(lane_lists):
     min_gap = math.inf
     for lst in lane_lists:
         for rear, front in zip(lst[:-1], lst[1:]):
-            min_gap = min(min_gap, front.station - rear.station - front.length)
+            min_gap = min(min_gap, front.station - rear.station - VEHICLE_LENGTH)
     return min_gap
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,7 @@ def test_non_finite_float_rejected(section, field, value, tmp_path, capsys):
     ("idm", "b", 0.0),
     ("idm", "b", -1.0),
     ("reward", "d_avg", 0.0),
+    ("traffic", "desired_speed_min", 0.0),
 ])
 def test_physics_that_would_fail_midway_rejected(section, field, value, tmp_path, capsys):
     # each would divide by zero, fail a square root or run an empty road
@@ -400,6 +402,39 @@ def test_physics_that_would_fail_midway_rejected(section, field, value, tmp_path
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, low, high", [("depart", 10.0, 5.0),
+                                             ("init_speed", 14.0, 8.0),
+                                             ("desired_speed", 33.0, 22.0)])
+def test_reversed_traffic_range_rejected(name, low, high, tmp_path, capsys):
+    # the first draw from it would fail, after the run directory was made
+    traffic = {f"{name}_min": low, f"{name}_max": high}
+    data = desk_config()
+    data["traffic"].update(traffic)
+    msg = (f"config field traffic.{name}_min must not exceed traffic.{name}_max, "
+           f"not {low!r} > {high!r}")
+    with pytest.raises(ConfigurationError, match=re.escape(msg)):
+        parse_config(data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
+    assert not out.exists()
+    cfg = parse_config(desk_config())
+    world = replace(cfg.world, traffic=replace(cfg.world.traffic, **traffic))
+    with pytest.raises(ConfigurationError, match=re.escape(msg)):
+        learner.run_training(cfg.train, world)
+
+
+def test_equal_traffic_bounds_accepted(tmp_path):
+    data = desk_config()
+    data["traffic"].update(depart_min=7.0, depart_max=7.0, init_speed_min=10.0,
+                           init_speed_max=10.0, desired_speed_min=25.0,
+                           desired_speed_max=25.0)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    assert (out / "episodes.csv").exists()
 
 
 @pytest.mark.parametrize("profile", [[[0, 0.001], [500, 0.002], [200, -0.001]],
@@ -497,8 +532,18 @@ def test_checkgrad_passes_fresh_params(capsys):
     assert "net" in out and "q_value" in out and "batch_loss" in out
 
 
-def test_checkgrad_detects_injected_fault():
-    assert cmd_checkgrad(seed=0, inject_fault=True) == 1
+def test_checkgrad_detects_injected_fault(monkeypatch, capsys):
+    q_gradients_batch = cli.q_gradients_batch
+
+    def corrupted(states, actions, coeffs, params):
+        grad, q = q_gradients_batch(states, actions, coeffs, params)
+        grad[params.span(NafParams.Q).start] *= 1.10  # first weight of m_net
+        return grad, q
+
+    monkeypatch.setattr(cli, "q_gradients_batch", corrupted)
+    assert cmd_checkgrad(seed=0) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gradient check failed for: q_value"]
 
 
 def test_checkgrad_repeatable(capsys):

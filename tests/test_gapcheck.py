@@ -39,9 +39,12 @@ def test_acceptable_with_no_neighbors():
 
 
 def test_acceptable_leader_gap_sufficient():
-    res = gap_acceptable(20.0, P, (30.0, 20.0), None)
-    assert res.lead_required == pytest.approx(25.0)
-    assert res.acceptable
+    # a leader gap exactly at the required one passes; the next float below fails
+    need = required_gap(20.0, 18.0, P)
+    assert need > P.s0
+    assert gap_acceptable(20.0, P, (need, 18.0), None).acceptable
+    assert not gap_acceptable(20.0, P, (math.nextafter(need, 0.0), 18.0), None).acceptable
+    assert gap_acceptable(20.0, P, (30.0, 20.0), None).acceptable
 
 
 def test_unacceptable_leader_gap_short():
@@ -50,10 +53,12 @@ def test_unacceptable_leader_gap_short():
 
 
 def test_follower_side_uses_follower_speed():
-    # fast follower needs a long gap behind the ego
-    res = gap_acceptable(20.0, P, None, (20.0, 30.0))
-    assert res.follow_required == required_gap(30.0, 20.0, P)
-    assert not res.acceptable
+    # fast follower needs a long gap behind the ego: the follower is the rear car
+    need = required_gap(30.0, 20.0, P)
+    assert need != required_gap(20.0, 30.0, P)
+    assert gap_acceptable(20.0, P, None, (need, 30.0)).acceptable
+    assert not gap_acceptable(20.0, P, None, (math.nextafter(need, 0.0), 30.0)).acceptable
+    assert not gap_acceptable(20.0, P, None, (20.0, 30.0)).acceptable
 
 
 def test_nonpositive_gap_always_unacceptable():
@@ -88,11 +93,11 @@ def test_commit_point_right_change():
 
 
 def _ok():
-    return GapAssessment(50.0, 50.0, 10.0, 10.0, True)
+    return GapAssessment(True)
 
 
 def _bad():
-    return GapAssessment(5.0, 5.0, 10.0, 10.0, False)
+    return GapAssessment(False)
 
 
 def test_monitor_continue_while_acceptable():

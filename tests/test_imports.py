@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and
-importing the package pulls in nothing beyond numpy."""
+"""Every name a package module imports is used in that module, importing
+the package pulls in nothing beyond numpy, and a module loads only the
+modules it imports."""
 
 import ast
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nafdrive"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -26,11 +27,26 @@ def test_no_unused_imports(path):
     assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
-def test_import_loads_no_scipy():
+def _loaded(statement: str, package: str) -> list[str]:
+    """The modules of `package` loaded after `statement` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, nafdrive, nafdrive.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import sys; {statement}; "
+            f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded("import nafdrive, nafdrive.cli", "scipy") == []
+
+
+def test_package_root_loads_no_module():
+    assert _loaded("import nafdrive", "nafdrive") == ["nafdrive"]
+
+
+def test_simworld_loads_neither_learner_nor_cli():
+    loaded = _loaded("import nafdrive.simworld", "nafdrive")
+    assert "nafdrive.simworld" in loaded
+    assert "nafdrive.learner" not in loaded and "nafdrive.cli" not in loaded

@@ -11,9 +11,9 @@ from nafdrive.errors import ContractError, NumericalError, SimulationFault
 from nafdrive.learner import make_rngs
 from nafdrive.longitudinal import dual_leader_accel, free_leader_accel, idm_accel
 from nafdrive.nafq import RlState
-from nafdrive.simworld import (EpisodeMetrics, RewardWeights, RoadSpec,
-                               TrafficConfig, VehicleState, World, WorldConfig,
-                               accumulate_metrics, build_rl_state,
+from nafdrive.simworld import (VEHICLE_LENGTH, EpisodeMetrics, RewardWeights,
+                               RoadSpec, TrafficConfig, VehicleState, World,
+                               WorldConfig, accumulate_metrics, build_rl_state,
                                completion_check, immediate_reward,
                                step_kinematics)
 from test_golden import damped_policy
@@ -403,7 +403,7 @@ def _scan_leader(world, lane_lists, lane, station, exclude_id):
             break
     if best is None:
         return None
-    gap = best.station - station - best.length
+    gap = best.station - station - VEHICLE_LENGTH
     if gap > world.cfg.sensing_range:
         return None
     return (gap, best.v)
@@ -419,7 +419,7 @@ def _scan_follower(world, lane_lists, lane, station, exclude_id):
             break
     if best is None:
         return None
-    gap = station - best.station - best.length
+    gap = station - best.station - VEHICLE_LENGTH
     if gap > world.cfg.sensing_range:
         return None
     return (gap, best.v)
@@ -534,7 +534,7 @@ def test_lane_index_equals_reference_every_tick():
             # d and station stay as integrated for the rest of the tick
             ref = _ref_lane_lists(world, post["vehicles"])
             assert _ids(built[-1]) == _ids(ref)
-            gaps = [(front.station - rear.station - front.length, rear.id, front.id)
+            gaps = [(front.station - rear.station - VEHICLE_LENGTH, rear.id, front.id)
                     for lst in ref for rear, front in zip(lst, lst[1:])]
             assert repr(res.min_gap) == repr(min((g for g, _, _ in gaps), default=math.inf))
             assert [f for f in res.faults if "overlap" in f] == [
@@ -608,7 +608,7 @@ def _walked_leader(world, veh):
     lead = veh.lead
     if lead is None:
         return None
-    gap = lead.station - veh.station - lead.length
+    gap = lead.station - veh.station - VEHICLE_LENGTH
     return None if gap > world.cfg.sensing_range else (gap, lead.v)
 
 
