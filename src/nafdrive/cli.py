@@ -187,12 +187,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, pieces):
+    """Write the strings of `pieces` in turn; `path` gets them all or keeps
+    what it held, since they go to a temporary file renamed at the end."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -203,29 +206,43 @@ def atomic_write(path: str, text: str):
 # -- checkpoint serialization
 
 
-def _params_to_json(p: NafParams) -> dict:
-    return {
-        "layer_dims": list(p.layer_dims),
-        "flat": p.flat.tolist(),
-        "constants": {f.name: getattr(p, f.name) for f in SECTIONS["naf"]},
-    }
-
-
 def _params_from_json(d: dict) -> NafParams:
     return NafParams(list(d["layer_dims"]), np.array(d["flat"], dtype=float),
                      **d["constants"])
 
 
+_FLAT_BLOCK = 2048  # floats of params.flat encoded per piece of a checkpoint
+
+
+def _checkpoint_pieces(head: str, flat: np.ndarray, tail: str):
+    """`head`, the floats of `flat` as a JSON array's items, `tail`: a block
+    at a time, so the whole vector is never held as Python floats or text."""
+    yield head
+    for i in range(0, flat.size, _FLAT_BLOCK):
+        if i:
+            yield ","
+        yield json.dumps(flat[i:i + _FLAT_BLOCK].tolist(), separators=(",", ":"))[1:-1]
+    yield tail
+
+
 # perfbench/ passes all seven positionally, so the three unwritten ones stay
 def save_checkpoint(path: str, step: int, params: NafParams, _target_params,
                     _opt_states, _rngs, digest: str):
+    """Write the canonical JSON of the checkpoint document; `params.flat`
+    goes between the two halves of the document encoded with it empty."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "step": step,
-        "params": _params_to_json(params),
+        "params": {
+            "layer_dims": list(params.layer_dims),
+            "flat": [],
+            "constants": {f.name: getattr(params, f.name) for f in SECTIONS["naf"]},
+        },
         "config_digest": digest,
     }
-    atomic_write(path, _dumps(payload))
+    # no string value holds an unescaped quote, so only the key matches
+    head, key, tail = _dumps(payload).partition('"flat":[')
+    atomic_write(path, _checkpoint_pieces(head + key, params.flat, tail))
 
 
 def load_checkpoint(path: str) -> dict:
@@ -282,13 +299,13 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows, comment: str | None = None):
-    lines = []
-    if comment:
-        lines.append("# " + comment)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    def lines():
+        if comment:
+            yield "# " + comment + "\n"
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield ",".join(_fmt(x) for x in row) + "\n"
+    atomic_write(path, lines())
 
 
 EPISODE_HEADER = ["vehicle_id", "start_step", "end_step", "duration_s",

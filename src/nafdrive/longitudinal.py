@@ -27,7 +27,7 @@ from .errors import ContractError
 
 @dataclass
 class IdmParams:
-    s0: float = 5.0      # minimum spacing, m (vehicle length folded in)
+    s0: float = 5.0      # minimum bumper-to-bumper spacing, m
     T: float = 1.0       # minimum headway, s
     a_m: float = 2.0     # maximum acceleration, m/s^2
     b: float = 1.5       # comfortable braking, m/s^2

@@ -125,16 +125,23 @@ class WorldConfig:
 
     def validate(self):
         # at zero or below, each fails a run midway (a division or a square
-        # root) or leaves no road
+        # root), leaves no road or closes every episode in its first tick
         tc = self.traffic
         for name, value in (("road.lanes", self.road.lanes),
                             ("road.lane_width", self.road.lane_width),
                             ("idm.a_m", self.idm.a_m), ("idm.b", self.idm.b),
                             ("reward.d_avg", self.rewards.d_avg),
-                            ("traffic.desired_speed_min", tc.desired_speed_min)):
+                            ("traffic.desired_speed_min", tc.desired_speed_min),
+                            ("sim.episode_cap_steps", self.episode_cap_steps)):
             if value <= 0:
                 raise ConfigurationError(f"config field {name} must be positive, "
                                          f"not {value!r}")
+        # no car reaches a station past the road's end, so none would change lanes
+        if self.lane_changes_enabled and tc.trigger_station > self.road.length:
+            raise ConfigurationError(
+                "config field traffic.trigger_station must not exceed road.length "
+                f"while sim.lane_changes_enabled, not {tc.trigger_station!r} > "
+                f"{self.road.length!r}")
         # a reversed range fails the first draw from it, midway through a run
         for name in ("depart", "init_speed", "desired_speed"):
             low, high = getattr(tc, f"{name}_min"), getattr(tc, f"{name}_max")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -135,6 +136,62 @@ def test_checkpoint_version_checked(tmp_path, capsys):
                  "--out", dst]) == 2
     assert "unsupported checkpoint version 2" in capsys.readouterr().err
     assert not os.path.exists(dst)
+
+
+def whole_document(step, params, digest):
+    # the reference: the checkpoint encoded in one piece, flat as a list
+    return cli._dumps({
+        "format_version": CHECKPOINT_VERSION, "step": step,
+        "params": {"layer_dims": list(params.layer_dims), "flat": params.flat.tolist(),
+                   "constants": {f.name: getattr(params, f.name)
+                                 for f in cli.SECTIONS["naf"]}},
+        "config_digest": digest})
+
+
+@pytest.mark.parametrize("block", ["1", "7", "n", "n+1"])
+def test_checkpoint_blocks_keep_the_whole_document_bytes(block, tmp_path, monkeypatch):
+    params = checkpoint_params()
+    n = params.flat.size
+    monkeypatch.setattr(cli, "_FLAT_BLOCK", {"1": 1, "7": 7, "n": n, "n+1": n + 1}[block])
+    rng = np.random.default_rng(7)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+    for k in range(3):
+        flat = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+        # at both ends of the vector and on both sides of a 7-float block's edge
+        flat[[0, 6, 7, 8, n // 2, n - 1]] = np.roll(specials, k)
+        params.flat[:] = flat
+        path = tmp_path / f"ck{k}.json"
+        save_checkpoint(str(path), k, params, None, None, None, f"digest{k}")
+        assert path.read_bytes() == whole_document(k, params, f"digest{k}").encode()
+
+
+def test_checkpoint_save_holds_less_than_the_file(tmp_path):
+    # the vector is encoded a block at a time; the whole document in memory
+    # at once would take several times the file's size
+    params = NafParams.init(0)
+    path = tmp_path / "ck.json"
+    tracemalloc.start()
+    try:
+        save_checkpoint(str(path), 0, params, None, None, None, "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+    assert path.read_bytes() == whole_document(0, params, "d").encode()
+
+
+def test_atomic_write_failing_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old bytes\n")
+
+    def pieces():
+        yield "first piece, written\n"
+        raise RuntimeError("encoder failed")
+
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        cli.atomic_write(str(path), pieces())
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert path.read_bytes() == b"old bytes\n"
 
 
 @pytest.mark.parametrize("malform", [
@@ -389,9 +446,11 @@ def test_non_finite_float_rejected(section, field, value, tmp_path, capsys):
     ("idm", "b", -1.0),
     ("reward", "d_avg", 0.0),
     ("traffic", "desired_speed_min", 0.0),
+    ("sim", "episode_cap_steps", 0),
 ])
 def test_physics_that_would_fail_midway_rejected(section, field, value, tmp_path, capsys):
-    # each would divide by zero, fail a square root or run an empty road
+    # each would divide by zero, fail a square root, run an empty road or
+    # close every episode in its first tick
     data = desk_config()
     data[section][field] = value
     msg = f"config field {section}.{field} must be positive, not {value!r}"
@@ -402,6 +461,28 @@ def test_physics_that_would_fail_midway_rejected(section, field, value, tmp_path
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
     assert not out.exists()
+
+
+def test_unreachable_trigger_station_rejected(tmp_path, capsys):
+    # no car reaches it, so the run would draw no lane change and train nothing
+    data = desk_config()
+    data["traffic"]["trigger_station"] = 2000.0
+    msg = ("config field traffic.trigger_station must not exceed road.length while "
+           "sim.lane_changes_enabled, not 2000.0 > 1000.0")
+    with pytest.raises(ConfigurationError, match=re.escape(msg)):
+        parse_config(data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
+    assert not out.exists()
+    cfg = parse_config(desk_config())
+    world = replace(cfg.world, traffic=replace(cfg.world.traffic, trigger_station=2000.0))
+    with pytest.raises(ConfigurationError, match=re.escape(msg)):
+        learner.run_training(cfg.train, world)
+    # traffic with lane changes off, as the dense-traffic benchmark runs it, draws none
+    data["sim"]["lane_changes_enabled"] = False
+    parse_config(data)
 
 
 @pytest.mark.parametrize("name, low, high", [("depart", 10.0, 5.0),
