@@ -21,15 +21,15 @@ def main():
                       seed=0)
     print(f"training: {cfg.total_steps} steps "
           f"({cfg.pretrain_steps} pretrain), dt={cfg.dt}s ...")
-    result = run_training(cfg, WorldConfig())
+    loss_rows, eps = [], []
+    trained = run_training(cfg, WorldConfig(), loss_rows=loss_rows, episode_rows=eps)
 
-    losses = [(s, l) for s, l in result.loss_rows if l is not None]
+    losses = [(s, l) for s, l in loss_rows if l is not None]
     print("\nloss trajectory (every 1000 steps):")
     for step, loss in losses:
         if step % 1000 == 0:
             print(f"  step {step:5d}  loss {loss:.4f}")
 
-    eps = result.episode_rows
     print(f"\nepisodes finished: {len(eps)}")
     if eps:
         by_outcome = {}
@@ -43,7 +43,7 @@ def main():
     s = RlState(v=20.0, a_lng=0.0, delta_d_lat=-1.875, theta=0.0, omega=0.0,
                 c=0.0)
     print("\ngreedy head at a representative state (half-lane deviation):")
-    for label, params in (("initial", initial), ("trained", result.params)):
+    for label, params in (("initial", initial), ("trained", trained)):
         h = Heads(params, [s], NafParams.HEAD)
         print(f"  {label}: a_max {h.a_max[0]:.4f}  mu {h.mu[0]:+.5f}")
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, NumericalError
 from .nafq import STATE_DIM, NafParams, fit_gradients, greedy_actions_batch
 from .netcore import Network, OptState, adaptive_update, net_forward
-from .simworld import EpisodeMetrics, World, WorldConfig
+from .simworld import World, WorldConfig
 
 # glibc hands the top of its heap back to the system whenever a free leaves
 # more than its trim threshold there, and that threshold is twice the
@@ -175,31 +175,25 @@ def sigma_at(cfg: TrainConfig, step: int) -> float:
     return cfg.sigma_start + (cfg.sigma_end - cfg.sigma_start) * frac
 
 
-@dataclass
-class TrainResult:
-    params: NafParams
-    loss_rows: list[tuple[int, float | None]]
-    episode_rows: list[EpisodeMetrics]
-
-
 def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
                  checkpoint_hook=None, naf_constants: dict | None = None,
                  loss_rows: list | None = None,
-                 episode_rows: list | None = None) -> TrainResult:
-    """Interleaved simulate/train loop.
+                 episode_rows: list | None = None) -> NafParams:
+    """Interleaved simulate/train loop; returns the trained parameters.
 
     Per tick: every maneuvering vehicle acts under the current parameters
     with Gaussian exploration and its transition enters the buffer; one
     gradient step runs once the buffer holds a full batch; the value net is
     copied every target_sync_every steps into its frozen copy, allocated
     once; the stage switches from pretrain to joint after pretrain_steps (a
-    RuntimeWarning says so when that comes before the first gradient step).
+    RuntimeWarning says so when that comes before the first gradient step,
+    and another at the end of a run that took no gradient step).
     Loss is logged every loss_log_every global steps (empty before the
     first trained step) and `checkpoint_hook(step, params)` fires at each
     scheduled step with the online parameters, which training goes on to
-    update in place.  Rows are appended to `loss_rows` and `episode_rows`
-    as they are produced, so a caller that passes its own lists keeps the
-    rows logged before a fault.
+    update in place.  Rows are appended to `loss_rows` (step, loss) and
+    `episode_rows` (EpisodeMetrics) as they are produced, so a caller that
+    passes its own lists keeps the rows logged before a fault.
     """
     train_cfg.validate()
     world_cfg.validate()
@@ -246,4 +240,9 @@ def run_training(train_cfg: TrainConfig, world_cfg: WorldConfig,
         if step in schedule and checkpoint_hook is not None:
             checkpoint_hook(step, params)
 
-    return TrainResult(params, loss_rows, episode_rows)
+    if last_loss is None:
+        warnings.warn(
+            f"no gradient step in total_steps {train_cfg.total_steps}: the replay "
+            f"buffer never held a batch of batch_size {train_cfg.batch_size}, so "
+            f"the parameters are their initialization", RuntimeWarning, stacklevel=2)
+    return params

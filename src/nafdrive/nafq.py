@@ -69,11 +69,11 @@ class NafParams:
     v_net: Network = field(init=False, repr=False)
     stacks: dict[range, Network] = field(init=False, repr=False, compare=False)
 
-    NET_NAMES = ("amax_net", "beta_net", "ttrans_net", "m_net", "v_net")
-    MU_NET_NAMES = ("amax_net", "beta_net", "ttrans_net")
     HEAD = range(0, 3)
     Q = range(3, 5)
     ALL = range(0, 5)
+    NET_NAMES = ("amax_net", "beta_net", "ttrans_net", "m_net", "v_net")
+    MU_NET_NAMES = NET_NAMES[HEAD.start:HEAD.stop]
 
     def __post_init__(self):
         n = param_count(self.layer_dims)
@@ -89,11 +89,6 @@ class NafParams:
         self.stacks = {block: Network(self.layer_dims, self.flat[self.span(block)],
                                       len(block))
                        for block in (self.HEAD, self.Q, self.ALL)}
-
-    def __reduce__(self):
-        # rebuilt from the vector, as in `copy`, so a copy's nets view its vector
-        return type(self), (self.layer_dims, self.flat, self.a_cap, self.t_min,
-                            self.t_max, self.m_eps)
 
     def nets(self):
         return {name: getattr(self, name) for name in self.NET_NAMES}

@@ -73,10 +73,6 @@ class Network:
         self.weights, self.biases = _layer_views(self.flat, dims, self.count)
         self.affine = [(w.mT, b[:, None]) for w, b in zip(self.weights, self.biases)]
 
-    def __reduce__(self):
-        # rebuilt from the vector, so a copy's views are views of the copy's vector
-        return type(self), (self.layer_dims, self.flat, self.count)
-
 
 @dataclass
 class OptState:

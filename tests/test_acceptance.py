@@ -2,7 +2,8 @@
 
 Nine criteria, each reported as a single PASS/FAIL line.  The exact-oracle
 criteria run in seconds; criterion 7 trains three desk-scale runs (80k
-steps each, side by side in worker processes) and dominates the runtime.
+steps each, side by side in worker processes, which also run its evals and
+traces) and dominates the runtime.
 """
 
 import math
@@ -94,18 +95,19 @@ def test_criterion_4_reward_oracle():
     r, *_ = immediate_reward(0.1, RlState(20, 0, 1.875, 0.0, 0.05, 0),
                              RewardWeights())
     composite_ok = (r == -0.275)
-    result = run_training(
+    episode_rows = []
+    run_training(
         TrainConfig(total_steps=1200, pretrain_steps=600,
                     target_sync_every=300, checkpoint_schedule=[1200],
                     batch_size=16, buffer_capacity=4000, seed=0),
-        WorldConfig())
+        WorldConfig(), episode_rows=episode_rows)
     decomposition_ok = all(
         ep.R == ep.R_acce + ep.R_rate + ep.R_dev
         and ep.R_acce <= 0 and ep.R_rate <= 0 and ep.R_dev <= 0
-        for ep in result.episode_rows)
+        for ep in episode_rows)
     report(4, "reward oracle", composite_ok and decomposition_ok,
            f"composite case exact: {composite_ok}; decomposition bit-exact "
-           f"over {len(result.episode_rows)} episodes: {decomposition_ok}")
+           f"over {len(episode_rows)} episodes: {decomposition_ok}")
 
 
 def test_criterion_5_target_network_semantics():
@@ -123,13 +125,13 @@ def test_criterion_5_target_network_semantics():
     cfg = TrainConfig(total_steps=500, pretrain_steps=500,
                       target_sync_every=100, checkpoint_schedule=[500],
                       batch_size=16, buffer_capacity=2000, seed=seed)
-    result = run_training(cfg, WorldConfig())
+    trained = run_training(cfg, WorldConfig())
     reference = NafParams.init(make_rngs(seed)["init"])
     freeze_ok = all(
         np.array_equal(a, b)
         for name in NafParams.MU_NET_NAMES
         for a, b in zip(
-            getattr(result.params, name).weights + getattr(result.params, name).biases,
+            getattr(trained, name).weights + getattr(trained, name).biases,
             getattr(reference, name).weights + getattr(reference, name).biases))
     report(5, "target-network semantics", sync_ok and freeze_ok,
            f"post-sync bit-equality on 1000 pairs: {sync_ok}; "
@@ -153,75 +155,61 @@ def test_criterion_6_car_following_safety():
 
 
 def desk_run(seed):
-    """One desk-scale training run: its loss rows, its layer sizes and the
-    flat parameter vectors of its first and last checkpoints."""
+    """One desk-scale training run, measured at its first and last
+    checkpoints on the live parameters: its loss rows, and at each of the
+    two the average return of 100 greedy episodes at world seed
+    1000 + seed and the mean |a_yaw| of the traces at seeds 0-19."""
+    wc = WorldConfig()
     cfg = TrainConfig(total_steps=80_000, pretrain_steps=20_000,
-                      checkpoint_schedule=[10_000 * k for k in range(1, 9)],
-                      seed=seed)
-    saved = {}
+                      checkpoint_schedule=[10_000, 80_000], seed=seed)
+    avg_r, yaw = {}, {}
 
     def hook(step, params):
-        if step in (10_000, 80_000):
-            saved[step] = params.copy()
+        eps = run_eval_episodes(params, wc, DT, 100, seed=1000 + seed)
+        avg_r[step] = sum(ep.R for ep in eps) / len(eps)
+        vals = []
+        for trace_seed in range(20):
+            rows = run_trace(params, wc, DT, seed=trace_seed)
+            vals.extend(abs(row[2]) for row in rows)
+        yaw[step] = float(np.mean(vals))
 
-    result = run_training(cfg, WorldConfig(), checkpoint_hook=hook)
-    return (result.loss_rows, saved[10_000].layer_dims,
-            saved[10_000].flat, saved[80_000].flat)
+    loss_rows = []
+    run_training(cfg, wc, checkpoint_hook=hook, loss_rows=loss_rows)
+    return loss_rows, avg_r[10_000], avg_r[80_000], yaw[10_000], yaw[80_000]
 
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Three desk-scale training runs with first/last checkpoints kept.
+    """Three desk-scale training runs, each measured in its own worker.
 
     Each run is a pure function of its config and seed, so the three run
-    side by side in worker processes.  A worker returns flat vectors, from
-    which the NafParams are rebuilt here.
+    side by side in worker processes, which return only the loss rows and
+    the four numbers that criterion 7 compares.
     """
     workers = min(3, os.cpu_count() or 1)
     # a warning fails a run here as conftest.py makes it fail a test
     with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
                              initializer=warnings.simplefilter,
                              initargs=("error",)) as pool:
-        results = list(pool.map(desk_run, range(3)))
-    return [{"seed": seed, "loss_rows": loss_rows,
-             "first": NafParams(list(dims), first), "last": NafParams(list(dims), last)}
-            for seed, (loss_rows, dims, first, last) in enumerate(results)]
+        return list(pool.map(desk_run, range(3)))
 
 
 @pytest.mark.slow
 def test_criterion_7_training_trends(desk_runs):
-    wc = WorldConfig()
     ratios, reward_wins, yaw_wins = [], 0, 0
     details = []
-    for run in desk_runs:
-        losses = [l for _, l in run["loss_rows"] if l is not None]
+    for seed, (loss_rows, r_first, r_last, y_first, y_last) in enumerate(desk_runs):
+        losses = [l for _, l in loss_rows if l is not None]
         k = max(1, len(losses) // 10)
         first_loss = float(np.mean(losses[:k]))
         last_loss = float(np.mean(losses[-k:]))
         ratios.append(last_loss / first_loss)
-
-        def avg_reward(params):
-            eps = run_eval_episodes(params, wc, DT, 100, seed=1000 + run["seed"])
-            return sum(ep.R for ep in eps) / len(eps)
-
-        r_first = avg_reward(run["first"])
-        r_last = avg_reward(run["last"])
         if r_last > r_first:
             reward_wins += 1
-
-        def mean_yaw(params):
-            vals = []
-            for trace_seed in range(20):
-                rows = run_trace(params, wc, DT, seed=trace_seed)
-                vals.extend(abs(row[2]) for row in rows)
-            return float(np.mean(vals))
-
-        y_first = mean_yaw(run["first"])
-        y_last = mean_yaw(run["last"])
         if y_last <= 0.7 * y_first:
             yaw_wins += 1
         details.append(
-            f"seed {run['seed']}: loss {first_loss:.3f}->{last_loss:.3f}, "
+            f"seed {seed}: loss {first_loss:.3f}->{last_loss:.3f}, "
             f"avgR {r_first:.2f}->{r_last:.2f}, "
             f"|a_yaw| {y_first:.4f}->{y_last:.4f}")
 

@@ -290,6 +290,23 @@ def test_cmd_train_fault_keeps_logged_rows(tmp_path, monkeypatch, capsys):
     assert sum(loss != "" for loss in losses) >= 4
 
 
+def test_cmd_train_without_a_gradient_step_warns(tmp_path):
+    # with lane changes off no car maneuvers, so no transition enters the
+    # replay buffer and no step trains; the run still writes its files
+    data = desk_config()
+    data["train"].update(total_steps=400, pretrain_steps=200, checkpoint_schedule=[400])
+    data["sim"]["lane_changes_enabled"] = False
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="no gradient step in total_steps 400: .* "
+                                            "batch_size 16,") as record:
+        assert main(["train", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == 0
+    assert len(record) == 1
+    loss_lines = (out / "loss.csv").read_text().splitlines()[2:]
+    assert loss_lines == [f"{step}," for step in range(20, 401, 20)]
+    assert (out / "checkpoint_00000400.json").exists()
+
+
 def test_cmd_train_missing_field_exit_code(tmp_path, capsys):
     data = desk_config()
     del data["train"]["gamma"]
@@ -514,7 +531,9 @@ def test_equal_traffic_bounds_accepted(tmp_path):
                            init_speed_max=10.0, desired_speed_min=25.0,
                            desired_speed_max=25.0)
     out = tmp_path / "out"
-    assert main(["train", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    # no car of this slow, sparse traffic starts a lane change in 600 steps
+    with pytest.warns(RuntimeWarning, match="no gradient step in total_steps 600"):
+        assert main(["train", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
     assert (out / "episodes.csv").exists()
 
 

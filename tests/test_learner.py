@@ -504,20 +504,22 @@ def small_train_cfg(**kw):
 
 def run_trained(cfg: TrainConfig, **kw):
     """run_training that must raise no RuntimeWarning, log a loss in each
-    stage and close at least one episode."""
+    stage and close at least one episode; its loss rows and episode rows."""
+    loss_rows, episode_rows = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = run_training(cfg, WorldConfig(), **kw)
-    logged = [step for step, loss in result.loss_rows if loss is not None]
+        run_training(cfg, WorldConfig(), loss_rows=loss_rows,
+                     episode_rows=episode_rows, **kw)
+    logged = [step for step, loss in loss_rows if loss is not None]
     assert logged and logged[0] <= cfg.pretrain_steps < logged[-1]
-    assert result.episode_rows
-    return result
+    assert episode_rows
+    return loss_rows, episode_rows
 
 
 def test_run_training_loss_row_count():
-    result = run_trained(small_train_cfg())
-    assert len(result.loss_rows) == 1000 // 20
-    assert [s for s, _ in result.loss_rows] == list(range(20, 1001, 20))
+    loss_rows, _ = run_trained(small_train_cfg())
+    assert len(loss_rows) == 1000 // 20
+    assert [s for s, _ in loss_rows] == list(range(20, 1001, 20))
 
 
 def test_run_training_checkpoint_hook_fires_on_schedule():
@@ -528,18 +530,18 @@ def test_run_training_checkpoint_hook_fires_on_schedule():
 
 
 def test_run_training_deterministic():
-    a = run_trained(small_train_cfg(seed=9))
-    b = run_trained(small_train_cfg(seed=9))
-    assert a.loss_rows == b.loss_rows
-    assert [(e.vehicle_id, e.R, e.outcome) for e in a.episode_rows] == \
-        [(e.vehicle_id, e.R, e.outcome) for e in b.episode_rows]
+    a_loss, a_episodes = run_trained(small_train_cfg(seed=9))
+    b_loss, b_episodes = run_trained(small_train_cfg(seed=9))
+    assert a_loss == b_loss
+    assert [(e.vehicle_id, e.R, e.outcome) for e in a_episodes] == \
+        [(e.vehicle_id, e.R, e.outcome) for e in b_episodes]
 
 
 def test_run_training_rewards_nonpositive():
     # seed 2 first holds a batch at step 647, so its pretrain runs to 700
-    result = run_trained(small_train_cfg(seed=2, pretrain_steps=700,
-                                         checkpoint_schedule=[1000]))
-    for ep in result.episode_rows:
+    _, episode_rows = run_trained(small_train_cfg(seed=2, pretrain_steps=700,
+                                                  checkpoint_schedule=[1000]))
+    for ep in episode_rows:
         assert ep.R_acce <= 0 and ep.R_rate <= 0 and ep.R_dev <= 0
         assert ep.R == ep.R_acce + ep.R_rate + ep.R_dev
 
@@ -573,8 +575,9 @@ def test_run_training_syncs_one_target_value_net_in_place(monkeypatch):
 def test_pretrain_ending_before_the_first_gradient_step_warns():
     cfg = small_train_cfg(total_steps=300, pretrain_steps=1, loss_log_every=1,
                           checkpoint_schedule=[])
+    loss_rows = []
     with pytest.warns(RuntimeWarning, match="pretrain_steps 1 ") as record:
-        result = run_training(cfg, WorldConfig())
-    first = next(step for step, loss in result.loss_rows if loss is not None)
+        run_training(cfg, WorldConfig(), loss_rows=loss_rows)
+    first = next(step for step, loss in loss_rows if loss is not None)
     assert len(record) == 1
     assert f"first gradient step, at step {first}," in str(record[0].message)

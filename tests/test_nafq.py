@@ -1,8 +1,6 @@
 """Quadratic Q-function and its structured greedy head."""
 
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -475,28 +473,6 @@ def test_params_copy_independent():
     assert dup.v_net.biases[-1][0] != params.v_net.biases[-1][0]
     assert np.shares_memory(params.v_net.flat, params.flat)
     assert not np.shares_memory(dup.flat, params.flat)
-
-
-@pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)),
-                                       copy.deepcopy], ids=["pickle", "deepcopy"])
-def test_params_survive_pickle_and_deepcopy(duplicate):
-    params = NafParams.init(0, hidden=(8,), a_cap=0.5, t_max=8.0)
-    before = params.flat.copy()
-    rng = np.random.default_rng(1)
-    states = [random_state(rng) for _ in range(4)]
-    actions = rng.uniform(-0.5, 0.5, size=4)
-    dup = duplicate(params)
-    assert (dup.a_cap, dup.t_min, dup.t_max, dup.m_eps) == (0.5, T_MIN, 8.0, M_EPS)
-    assert np.array_equal(q_values_batch(states, actions, dup)[0],
-                          q_values_batch(states, actions, params)[0])
-    dup.flat += 1.0  # reaches every net and stack of the copy, not the original
-    for name, net in dup.nets().items():
-        assert net.flat.base is dup.flat
-        assert np.array_equal(net.flat, before[net_span(dup, name)] + 1.0)
-    for block, stack in dup.stacks.items():
-        assert stack.flat.base is dup.flat
-        assert np.array_equal(stack.flat, before[dup.span(block)] + 1.0)
-    assert np.array_equal(params.flat, before)
 
 
 def test_params_span_layout():
