@@ -32,7 +32,7 @@ from .nafq import (NafParams, RlState, fit_gradients, greedy_policy,
 from .netcore import finite_diff_check, net_backward, net_forward, net_init
 from .simworld import RewardWeights, RoadSpec, TrafficConfig, World, WorldConfig
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 EVAL_MAX_STEPS = 500_000  # ticks an evaluation runs before it gives up
 TRACE_MAX_STEPS = 100_000  # ticks a trace runs before it gives up
 CHECKGRAD_THRESHOLD = 1e-4  # the relative error at which a gradient check fails
@@ -45,7 +45,7 @@ _SECTION_CLASSES = {
     "road": (RoadSpec,),
     "traffic": (TrafficConfig,),
     "reward": (RewardWeights,),
-    "idm": (IdmParams,),
+    "idm": (IdmParams, "v0"),  # each car draws its own v0 (World._spawn)
     "naf": (NafParams, "layer_dims", "flat"),
     "sim": (WorldConfig, "road", "traffic", "rewards", "idm"),
 }
@@ -207,8 +207,10 @@ def atomic_write(path: str, pieces):
 
 
 def _params_from_json(d: dict) -> NafParams:
-    return NafParams(list(d["layer_dims"]), np.array(d["flat"], dtype=float),
-                     **d["constants"])
+    # the head constants come from the config, which the digest binds
+    if sorted(d) != ["flat", "layer_dims"]:
+        raise ValueError(f"params must hold exactly layer_dims and flat, not {sorted(d)}")
+    return NafParams(list(d["layer_dims"]), np.array(d["flat"], dtype=float))
 
 
 _FLAT_BLOCK = 2048  # floats of params.flat encoded per piece of a checkpoint
@@ -236,7 +238,6 @@ def save_checkpoint(path: str, step: int, params: NafParams, _target_params,
         "params": {
             "layer_dims": list(params.layer_dims),
             "flat": [],
-            "constants": {f.name: getattr(params, f.name) for f in SECTIONS["naf"]},
         },
         "config_digest": digest,
     }

@@ -14,4 +14,6 @@ class NumericalError(ArithmeticError):
 
 
 class SimulationFault(RuntimeError):
-    """Physical inconsistency in the simulated world (e.g. overlapping vehicles)."""
+    """Physical inconsistency in the simulated world.  Nothing in the package
+    raises it: `World.step` logs faults in `StepResult.faults` and
+    `World.fault_log`.  It stays while the benchmark's runner imports it."""

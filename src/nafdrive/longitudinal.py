@@ -32,7 +32,9 @@ class IdmParams:
     a_m: float = 2.0     # maximum acceleration, m/s^2
     b: float = 1.5       # comfortable braking, m/s^2
     delta: float = 4.0   # free-term exponent
-    v0: float = 120.0 / 3.6  # desired free-flow speed, m/s (per vehicle)
+    # desired free-flow speed, m/s; not a config field: `World._spawn` gives
+    # each car its own, drawn from traffic.desired_speed_min/max
+    v0: float = 120.0 / 3.6
     b_max: float = 9.0   # physical deceleration clamp, m/s^2
 
 

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .errors import ConfigurationError, ContractError, NumericalError, SimulationFault
+from .errors import ConfigurationError, ContractError, NumericalError
 from .gapcheck import MonitorDecision, gap_acceptable, monitor_step
 from .longitudinal import IdmParams, dual_leader_accel, free_leader_accel, idm_accel
 from .nafq import RlState
@@ -121,7 +121,6 @@ class WorldConfig:
     episode_cap_steps: int = 300
     sensing_range: float = 150.0
     lane_changes_enabled: bool = True
-    strict: bool = False
 
     def validate(self):
         # at zero or below, each fails a run midway (a division or a square
@@ -178,13 +177,18 @@ def step_kinematics(state: VehicleState, a_lng_cmd: float, a_yaw_cmd: float,
 
     omega, theta, v, station, d are updated in sequence; on curved
     segments the relative heading is then corrected by -c*v*dt.  The
-    fields of `state` are overwritten and `state` itself is returned.
+    fields of `state` are overwritten and `state` itself is returned.  A
+    negative speed is floored to 0.0, and a NaN one raises NumericalError
+    before any field is written.
     `World.step` moves only maneuvering vehicles with it.
     """
     omega = state.omega + a_yaw_cmd * dt
     theta = state.theta + omega * dt
     v = state.v + a_lng_cmd * dt
-    v = v if v > 0.0 else 0.0  # max(0.0, v)
+    if not v > 0.0:  # max(0.0, v) for a number; a NaN is refused, not parked
+        if v != v:
+            raise NumericalError(f"vehicle {state.id} has speed v={v}")
+        v = 0.0
     state.station += v * math.cos(theta) * dt
     state.d += v * math.sin(theta) * dt
     state.omega = omega
@@ -477,12 +481,19 @@ class World:
         # at every close), so this is step_kinematics' straight-line case.
         for veh, a_lng in keepers:
             v = veh.v + a_lng * dt
-            v = v if v > 0.0 else 0.0  # max(0.0, v)
+            if not v > 0.0:  # as in step_kinematics
+                if v != v:
+                    raise NumericalError(f"step {self.step_count}: vehicle "
+                                         f"{veh.id} has speed v={v}")
+                v = 0.0
             veh.station += v * dt
             veh.v = v
             veh.a_lng = a_lng
-        for (veh, a_lng), s, a_yaw in zip(changers, rl_states, a_yaws, strict=True):
-            step_kinematics(veh, a_lng, a_yaw, dt, s.c)  # c at the pre-step station
+        try:
+            for (veh, a_lng), s, a_yaw in zip(changers, rl_states, a_yaws, strict=True):
+                step_kinematics(veh, a_lng, a_yaw, dt, s.c)  # c at the pre-step station
+        except NumericalError as exc:
+            raise NumericalError(f"step {self.step_count}: {exc}") from None
 
         # monitors, completion, rewards on the post-step world; `veh.lane`
         # is the lane a maneuver started from until its episode closes
@@ -556,6 +567,4 @@ class World:
         self.time += dt
         self.step_count += 1
         self.fault_log.extend(faults)
-        if faults and cfg.strict:
-            raise SimulationFault("; ".join(faults))
         return StepResult(transitions, episodes, min_gap, faults)

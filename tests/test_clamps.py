@@ -3,7 +3,8 @@
 Each reference below is the function as written with the builtin `min` and
 `max`, in the original argument order.  Results are compared by `repr`, so a
 -0.0 where the builtin gives 0.0, or a NaN where it gives a number (or the
-reverse), counts as a difference.
+reverse), counts as a difference.  The one exception is the speed floor: a
+NaN speed, which `max(0.0, v)` would floor to 0.0, raises NumericalError.
 """
 
 import copy
@@ -98,7 +99,10 @@ def _ref_gap_acceptable(v_ego, p, target_leader, target_follower):
 def _ref_step_kinematics(state, a_lng_cmd, a_yaw_cmd, dt, c):
     omega = state.omega + a_yaw_cmd * dt
     theta = state.theta + omega * dt
-    v = max(0.0, state.v + a_lng_cmd * dt)
+    v = state.v + a_lng_cmd * dt
+    if math.isnan(v):
+        raise NumericalError(f"vehicle {state.id} has speed v={v}")
+    v = max(0.0, v)
     state.station += v * math.cos(theta) * dt
     state.d += v * math.sin(theta) * dt
     state.omega = omega
@@ -182,6 +186,7 @@ def test_step_kinematics_equals_builtin_speed_floor():
     assert 1.0 + -10.0 * 0.1 == 0.0
     assert repr(-0.0 + -0.0 * 0.1) == "-0.0"
     fields = ("station", "d", "v", "a_lng", "theta", "omega")
+    refused = 0
     for v in SPEEDS + [1.0]:
         for a in EDGES + [-10.0, 2.0]:
             for a_yaw in (0.0, 0.1, NAN):
@@ -189,27 +194,52 @@ def test_step_kinematics_equals_builtin_speed_floor():
                     got = VehicleState(0, 10.0, 5.625, v, 0.0, 0.01, -0.0, 1, 1,
                                        "changing")
                     want = replace(got)
-                    assert step_kinematics(got, a, a_yaw, 0.1, c) is got
-                    _ref_step_kinematics(want, a, a_yaw, 0.1, c)
+                    try:
+                        _ref_step_kinematics(want, a, a_yaw, 0.1, c)
+                    except NumericalError as exc:
+                        # refused before any field is written
+                        with pytest.raises(NumericalError, match=f"^{exc}$"):
+                            step_kinematics(got, a, a_yaw, 0.1, c)
+                        refused += 1
+                    else:
+                        assert step_kinematics(got, a, a_yaw, 0.1, c) is got
                     assert ([repr(getattr(got, f)) for f in fields]
                             == [repr(getattr(want, f)) for f in fields]), (v, a, a_yaw, c)
+    # a NaN speed (7 accelerations), a NaN acceleration (8 more speeds) and
+    # the two infinite speeds against the opposite infinite acceleration
+    assert refused == (7 + 8 + 2) * 3 * 2
+
+
+def keeper_world(accel):
+    """A world with no spawns and no lane changes, whose longitudinal
+    accelerations are `accel[vehicle id]`, and the list of ids it asks for."""
+    world = World(WorldConfig(lane_changes_enabled=False), np.random.default_rng(0),
+                  np.random.default_rng(1))
+    world._next_depart = [INF] * world.cfg.road.lanes
+    calls = []
+    world._longitudinal = lambda lane_lists, veh, faults: calls.append(veh.id) or accel[veh.id]
+    return world, calls
 
 
 def test_keeper_update_equals_step_kinematics():
     """World.step moves a keeper without step_kinematics; at every finite
     speed it reaches, the result is step_kinematics' with no yaw and no
-    curvature, and at an infinite one the keeper exits."""
+    curvature, at an infinite one the keeper exits, and where step_kinematics
+    refuses a NaN speed, so does World.step."""
     fields = ("station", "d", "v", "a_lng", "theta", "omega")
-    world = World(WorldConfig(lane_changes_enabled=False), np.random.default_rng(0),
-                  np.random.default_rng(1))
-    world._next_depart = [INF] * world.cfg.road.lanes
-    want, accel, infinite = {}, {}, []
+    accel = {}
+    world, calls = keeper_world(accel)
+    want, infinite, refused = {}, [], []
     for v in SPEEDS + [1.0]:
         for a in EDGES + [-10.0, 2.0]:
             k = len(world.vehicles)
             veh = VehicleState(k, 10.0 * k, world.cfg.road.center(k % 3), v, 0.0, 0.0, 0.0,
                                k % 3, k % 3, "keeping", idm=IdmParams())
-            ref = _ref_step_kinematics(replace(veh), a, 0.0, 0.1, 0.0)
+            try:
+                ref = _ref_step_kinematics(replace(veh), a, 0.0, 0.1, 0.0)
+            except NumericalError:
+                refused.append((v, a))
+                continue
             world.vehicles.append(veh)
             accel[k] = a
             if ref.v == INF:
@@ -219,8 +249,6 @@ def test_keeper_update_equals_step_kinematics():
                 infinite.append(veh)
             else:
                 want[k] = ref
-    calls = []
-    world._longitudinal = lambda lane_lists, veh, faults: calls.append(veh.id) or accel[veh.id]
     vehicles = list(world.vehicles)
     world.step(lambda states: [], 0.1)
     assert calls == list(accel) and len(infinite) == 11
@@ -233,6 +261,15 @@ def test_keeper_update_equals_step_kinematics():
         if veh.id in want:
             assert ([repr(getattr(veh, f)) for f in fields]
                     == [repr(getattr(want[veh.id], f)) for f in fields]), (veh, accel[veh.id])
+    # a NaN speed (7 accelerations), a NaN acceleration (8 more speeds) and
+    # the two infinite speeds against the opposite infinite acceleration
+    assert len(refused) == 7 + 8 + 2
+    for v, a in refused:
+        world, _ = keeper_world({0: a})
+        world.vehicles.append(VehicleState(0, 10.0, world.cfg.road.center(1), v, 0.0,
+                                           0.0, 0.0, 1, 1, "keeping", idm=IdmParams()))
+        with pytest.raises(NumericalError, match=r"^step 0: vehicle 0 has speed v=nan$"):
+            world.step(lambda states: [], 0.1)
 
 
 def test_lane_of_equals_builtin_clamp():

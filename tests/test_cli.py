@@ -86,6 +86,10 @@ def test_digest_ignores_seed_but_not_physics():
 # -- checkpoints
 
 
+# a version-3 checkpoint's `params.constants`
+V3_CONSTANTS = {"a_cap": A_CAP, "t_min": T_MIN, "t_max": T_MAX, "m_eps": M_EPS}
+
+
 def checkpoint_params(seed=0):
     return NafParams.init(make_rngs(seed)["init"], hidden=(8,))
 
@@ -96,8 +100,10 @@ def test_checkpoint_round_trip_bytes(tmp_path):
     p1 = str(tmp_path / "ck1.json")
     p2 = str(tmp_path / "ck2.json")
     save_checkpoint(p1, 123, params, None, None, None, digest)
-    assert set(json.loads(Path(p1).read_text())) == {
-        "format_version", "step", "params", "config_digest"}
+    data = json.loads(Path(p1).read_text())
+    assert set(data) == {"format_version", "step", "params", "config_digest"}
+    # the head constants come from the config, which the digest binds
+    assert set(data["params"]) == {"layer_dims", "flat"}
     ck = load_checkpoint(p1)
     assert ck["step"] == 123 and ck["config_digest"] == digest
     save_checkpoint(p2, ck["step"], ck["params"], None, None, None,
@@ -125,8 +131,9 @@ def test_checkpoint_version_checked(tmp_path, capsys):
         Path(path).write_text(json.dumps(data))
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
-    # eval and trace refuse a version-2 file
-    data["format_version"] = 2
+    # eval and trace refuse a version-3 file, which held the head constants
+    data["format_version"] = 3
+    data["params"]["constants"] = V3_CONSTANTS
     Path(path).write_text(json.dumps(data))
     cfg_path = write_config(tmp_path, desk_config())
     dst = str(tmp_path / "out.csv")
@@ -134,7 +141,7 @@ def test_checkpoint_version_checked(tmp_path, capsys):
                  "--episodes", "1", "--out", dst]) == 2
     assert main(["trace", "--checkpoint", path, "--config", cfg_path,
                  "--out", dst]) == 2
-    assert "unsupported checkpoint version 2" in capsys.readouterr().err
+    assert "unsupported checkpoint version 3" in capsys.readouterr().err
     assert not os.path.exists(dst)
 
 
@@ -142,9 +149,7 @@ def whole_document(step, params, digest):
     # the reference: the checkpoint encoded in one piece, flat as a list
     return cli._dumps({
         "format_version": CHECKPOINT_VERSION, "step": step,
-        "params": {"layer_dims": list(params.layer_dims), "flat": params.flat.tolist(),
-                   "constants": {f.name: getattr(params, f.name)
-                                 for f in cli.SECTIONS["naf"]}},
+        "params": {"layer_dims": list(params.layer_dims), "flat": params.flat.tolist()},
         "config_digest": digest})
 
 
@@ -200,8 +205,7 @@ def test_atomic_write_failing_midway_keeps_the_old_file(tmp_path):
     lambda data: {**data, "params": {**data["params"], "layer_dims": [6, 0, 1]}},
     lambda data: {**data, "params": []},
     lambda data: {**data, "params": {**data["params"], "flat": ["x"]}},
-    lambda data: {**data, "params": {**data["params"],
-                                     "constants": {**data["params"]["constants"], "x": 1}}},
+    lambda data: {**data, "params": {**data["params"], "constants": V3_CONSTANTS}},
 ], ids=["list", "flat-one-short", "zero-width-layer", "params-list", "flat-string",
         "unknown-constant"])
 def test_malformed_checkpoint_refused(malform, trained_run, tmp_path, capsys):
@@ -326,16 +330,23 @@ def trained_run(tmp_path_factory):
     return cfg_path, out
 
 
-@pytest.mark.parametrize("section", [None, "train", "road", "traffic",
-                                     "reward", "idm", "naf", "sim"])
-def test_unknown_key_rejected(section, trained_run, tmp_path, capsys):
+# a misspelt key in each section, and idm.v0, which each car draws from
+# traffic.desired_speed_min/max instead
+UNKNOWN_KEYS = [(section, "gama") for section in (None, "train", "road", "traffic",
+                                                  "reward", "idm", "naf", "sim")]
+UNKNOWN_KEYS.append(("idm", "v0"))
+
+
+@pytest.mark.parametrize("section, key", UNKNOWN_KEYS,
+                         ids=[str(s) if k == "gama" else f"{s}.{k}" for s, k in UNKNOWN_KEYS])
+def test_unknown_key_rejected(section, key, trained_run, tmp_path, capsys):
     data = desk_config()
     if section is None:
-        data["gama"] = 0.99
-        name = "gama"
+        data[key] = 0.99
+        name = key
     else:
-        data[section]["gama"] = 0.99
-        name = f"{section}.gama"
+        data[section][key] = 0.99
+        name = f"{section}.{key}"
     with pytest.raises(ConfigurationError, match=re.escape(name)):
         parse_config(data)
     cfg_path = write_config(tmp_path, data)
@@ -414,7 +425,7 @@ def test_every_command_reports_a_refused_argument_on_one_line(argv, trained_run,
     ("reward", "w_acce", None),
     ("idm", "T", False),
     ("naf", "a_cap", [0.6]),
-    ("sim", "strict", 1),
+    ("sim", "lane_changes_enabled", 1),
 ])
 def test_wrong_type_rejected(section, field, value, tmp_path, capsys):
     data = desk_config()
@@ -602,6 +613,28 @@ def test_cmd_eval_digest_mismatch_refused(trained_run, tmp_path, capsys):
     assert main(["eval", "--checkpoint", ck, "--config", other_cfg,
                  "--episodes", "1", "--seed", "3", "--out", dst,
                  "--force"]) == 0
+
+
+def test_forced_eval_takes_head_constants_from_the_config(trained_run, tmp_path,
+                                                          monkeypatch):
+    cfg_path, out = trained_run
+    data = json.loads(Path(cfg_path).read_text())
+    data["naf"]["a_cap"] = 0.3
+    other_cfg = write_config(tmp_path, data, "other.json")
+    ck = os.path.join(out, "checkpoint_00000600.json")
+    # the digest binds the head constants, so only --force runs under others
+    with pytest.raises(ConfigurationError, match="digest"):
+        cli._load_policy(ck, other_cfg, False)
+    _, params = cli._load_policy(ck, other_cfg, True)
+    assert (params.a_cap, params.t_min, params.t_max, params.m_eps) == (0.3, T_MIN,
+                                                                        T_MAX, M_EPS)
+    caps = []
+    greedy_policy = cli.greedy_policy
+    monkeypatch.setattr(cli, "greedy_policy",
+                        lambda params: caps.append(params.a_cap) or greedy_policy(params))
+    assert main(["eval", "--checkpoint", ck, "--config", other_cfg, "--episodes", "1",
+                 "--out", str(tmp_path / "eval.csv"), "--force"]) == 0
+    assert caps == [0.3]
 
 
 # -- trace command

@@ -28,7 +28,7 @@ from nafdrive.simworld import RoadSpec, TrafficConfig, World, WorldConfig
 GOLDEN = {
     "loss.csv": "0bb99ffd772789ba",
     "episodes.csv": "a228bb039560ed95",
-    "checkpoint_00001000.json": "1b91f5768953e950",
+    "checkpoint_00001000.json": "a60bff4a0ee9e99d",
     "eval.csv": "3f436ada28b6178c",
     "trace.csv": "787142499242769d",
 }
@@ -57,16 +57,16 @@ DENSE_TRAFFIC_FAULTS = "4f53cda18c2baa0c"
 # at world seed 1000) and a trace (world seed = train seed), per train seed
 PERFBENCH_CONFIG = {
     0: {"loss.csv": "76b8084762d4495a", "episodes.csv": "26da66765044de5c",
-        "checkpoint_00001500.json": "32d9a8ade0a0f238",
-        "checkpoint_00003000.json": "1199f13bc5fcf83c",
+        "checkpoint_00001500.json": "4b18aebbd625ce08",
+        "checkpoint_00003000.json": "b292932f832784d2",
         "eval.csv": "dac62b49e741e42a", "trace.csv": "f6826ef599a9f4cd"},
     1: {"loss.csv": "24b156ca80136663", "episodes.csv": "332900dba2ddaf04",
-        "checkpoint_00001500.json": "badad672ee2e5384",
-        "checkpoint_00003000.json": "9e4338fb8eb1acd8",
+        "checkpoint_00001500.json": "57893564355b7aa8",
+        "checkpoint_00003000.json": "8ef17aa4a9b237b9",
         "eval.csv": "5eec6966598bc5fc", "trace.csv": "bdb0cbcc6f630917"},
     2: {"loss.csv": "2a8fdecef7ff716d", "episodes.csv": "57d27c40df7874f6",
-        "checkpoint_00001500.json": "3cb876508f6048aa",
-        "checkpoint_00003000.json": "7091645902b6b8e6",
+        "checkpoint_00001500.json": "8aefa5d18ed33756",
+        "checkpoint_00003000.json": "2000bb6b97a55542",
         "eval.csv": "f5f5547925584328", "trace.csv": "1fa7105d34e3ae2f"},
 }
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nafdrive import cli
-from nafdrive.errors import ContractError, NumericalError, SimulationFault
+from nafdrive.errors import ContractError, NumericalError
 from nafdrive.learner import make_rngs
 from nafdrive.longitudinal import dual_leader_accel, free_leader_accel, idm_accel
 from nafdrive.nafq import RlState
@@ -357,16 +357,8 @@ def test_monitor_aborts_on_unsafe_follower():
     assert cur.target_lane == 1  # flipped back to the original lane
 
 
-def test_strict_mode_raises_on_overlap():
-    cfg = WorldConfig(strict=True)
-    world = make_world(cfg, no_spawns=True)
-    make_vehicle(world, lane=0, station=100.0, v=10.0)
-    make_vehicle(world, lane=0, station=102.0, v=10.0)  # gap = -3 m
-    with pytest.raises(SimulationFault):
-        world.step(zero_policy, DT)
-
-
 def test_nonstrict_mode_records_fault():
+    # an overlap is logged as a fault, not raised
     world = make_world(no_spawns=True)
     make_vehicle(world, lane=0, station=100.0, v=10.0)
     make_vehicle(world, lane=0, station=102.0, v=10.0)
@@ -676,6 +668,19 @@ def test_nan_yaw_raises_numerical_error():
     with pytest.raises(NumericalError, match=r"^step 239: vehicle 3 .* d=nan$"):
         for _ in range(300):
             world.step(lambda states: [math.nan] * len(states), DT)
+
+
+@pytest.mark.parametrize("maneuver", ["keeping", "changing"])
+def test_nan_speed_raises_numerical_error(maneuver):
+    # a keeper moves inline in World.step, a changer through step_kinematics;
+    # neither parks the car at speed 0.0
+    world = make_world(no_spawns=True)
+    make_vehicle(world, lane=0)
+    veh = make_vehicle(world, target=2 if maneuver == "changing" else None,
+                       maneuver=maneuver)
+    world._longitudinal = lambda lane_lists, v, faults: math.nan if v is veh else 0.0
+    with pytest.raises(NumericalError, match=r"^step 0: vehicle 1 has speed v=nan$"):
+        world.step(zero_policy, DT)
 
 
 @pytest.mark.parametrize("d", [math.inf, -math.inf])
